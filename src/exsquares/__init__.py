@@ -22,8 +22,7 @@ from .seeds import (ChainSolution, DegenerateParameterError, SquareSystem,
 from .evolve import (DistinctifyError, FlipSchedule, NotAnImageError,
                      TransformCoefficients, coefficients, distinctify,
                      flip, generate_method1, inverse_transform,
-                     method1_family, method1_seed, reduce_chain,
-                     transform)
+                     method1_seed, reduce_chain, transform)
 from .derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
                      ChainAssignment, DegenerateFormError,
                      IdenticallySquareError, NoFermatRootError,
@@ -52,8 +51,8 @@ __all__ = [
     "lemma3_general", "lemma3_special", "seed_n5_simple", "seed_n6",
     "DistinctifyError", "FlipSchedule", "NotAnImageError",
     "TransformCoefficients", "coefficients", "distinctify", "flip",
-    "generate_method1", "inverse_transform", "method1_family",
-    "method1_seed", "reduce_chain", "transform",
+    "generate_method1", "inverse_transform", "method1_seed",
+    "reduce_chain", "transform",
     "ASSIGN_N5", "ASSIGN_N6", "ASSIGN_N7", "ASSIGN_N8",
     "ChainAssignment", "DegenerateFormError", "IdenticallySquareError",
     "NoFermatRootError", "NoRationalRootError", "QuadraticForm",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .exactmath import DomainError, is_perfect_square, isqrt, vec_gcd
-from .polyfield import HomogPoly, dehomogenize, homog_eval
+from .polyfield import HomogPoly, homog_eval
 from .seeds import DegenerateParameterError, SquareSystem
 from .evolve import generate_method1, reduce_chain
 from . import derive
@@ -161,9 +161,7 @@ def eval_family(fid: str, params) -> SquareSystem:
     g = vec_gcd(xs + ys)
     roots = tuple(abs(x) // g for x in xs)
     certs = tuple(abs(y) // g for y in ys)
-    distinct = len(set(roots)) == record.n
-    return SquareSystem(record.n, roots, certs, s // (g * g),
-                        distinct=distinct)
+    return SquareSystem(record.n, roots, certs, s // (g * g))
 
 
 def _deg10_reference(q1, q2):

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import catalog
 from .exactmath import DomainError
@@ -50,8 +50,7 @@ def system_from_json(text: str) -> SquareSystem:
         s = int(obj["s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a system object: {exc}") from exc
-    distinct = len(set(roots)) == len(roots) and all(roots)
-    return SquareSystem(n, roots, certs, s, distinct=distinct)
+    return SquareSystem(n, roots, certs, s)
 
 
 def _parse_pair(text: str):
@@ -186,14 +185,22 @@ def _sweep_worker(item):
     return ("ok", system_to_json(system))
 
 
+def _pool_size(jobs: int, points: int, cpus: int | None) -> int:
+    """Workers for a sweep: no more than were asked for, than there are
+    CPUs, or than there are points."""
+    return min(jobs, cpus or 1, points)
+
+
 def cmd_sweep(args) -> int:
     try:
         points = _sweep_points(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _pool_size(args.jobs, len(points), os.cpu_count())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, points))
     else:
         results = [_sweep_worker(item) for item in points]

@@ -11,21 +11,23 @@ preserves the chain conditions but changes P, so flipping half of each
 identical block before transforming splits the block.  Repeating the
 round halves every block until all entries differ.
 
-Everything here is generic over the scalar type.  Running the rounds
-over polynomials in t (not plain integers) is essential, not cosmetic:
-each round starts by normalizing entries to a positive leading
-coefficient, and the leading sign of a polynomial is invisible in any
-single numeric value.  The published reference values are reproduced by
-the polynomial path; see generate_method1.
+transform, inverse_transform and flip are generic over the scalar type;
+distinctify and generate_method1 run the rounds on integers.  Run over
+the n = 5, 6 seeds as polynomials in t, the halving rounds negate index
+sets that cannot depend on t, so they are kept as fixed schedules
+(_SCHEDULES) and applied at the integer t.  That gives the polynomial family's value at
+every t: evaluation commutes with flip and transform, each reduction
+divides by a positive scalar and the transform is homogeneous of odd
+degree, so the two chains are positive multiples of each other, and the
+final gcd reduction makes them equal.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from .exactmath import DomainError, vec_gcd
-from .polyfield import Poly, X
 from .seeds import (ChainSolution, DegenerateParameterError, SquareSystem,
                     lemma3_general, seed_n5_simple, seed_n6)
 
@@ -106,83 +108,40 @@ def flip(sol: ChainSolution, indices) -> ChainSolution:
                          sol.s)
 
 
-def _is_poly_chain(sol: ChainSolution) -> bool:
-    return isinstance(sol.pairs[0][0], Poly)
-
-
 def reduce_chain(sol: ChainSolution) -> ChainSolution:
-    """Divide all entries by their joint content."""
-    if _is_poly_chain(sol):
-        g = 0
-        for x, y in sol.pairs:
-            for c in x.coeffs + y.coeffs:
-                if c.denominator != 1:
-                    raise DomainError("content reduction needs integer coefficients")
-                g = gcd(g, c.numerator)
-        if g in (0, 1):
-            return sol
-        return ChainSolution.from_pairs(
-            (Poly(c / g for c in x.coeffs), Poly(c / g for c in y.coeffs))
-            for x, y in sol.pairs)
-    flat = [v for x, y in sol.pairs for v in (x, y)]
-    g = vec_gcd(flat)
+    """Divide all entries by their joint gcd."""
+    g = vec_gcd([v for x, y in sol.pairs for v in (x, y)])
     if g == 1:
         return sol
     return ChainSolution.from_pairs((x // g, y // g) for x, y in sol.pairs)
 
 
-def _canon_x(x):
-    """Representative of {x, -x}: nonnegative, or positive-leading."""
-    if isinstance(x, Poly):
-        return -x if x.lead < 0 else x
-    return -x if x < 0 else x
+def _halving_flips(sol: ChainSolution) -> frozenset:
+    """Indices to negate so that every x is nonnegative except the back
+    half of each block of identical (|x|, y) pairs."""
+    negative = {i for i, x in enumerate(sol.xs) if x < 0}
+    blocks = {}
+    for i, (x, y) in enumerate(sol.pairs):
+        blocks.setdefault((abs(x), y), []).append(i)
+    back = set()
+    for members in blocks.values():
+        back.update(members[len(members) - len(members) // 2:])
+    return frozenset(negative ^ back)
 
 
-def _normalize(sol: ChainSolution) -> ChainSolution:
-    return ChainSolution(sol.n,
-                         tuple((_canon_x(x), y) for x, y in sol.pairs),
-                         sol.s)
+def _round(sol: ChainSolution, indices) -> ChainSolution:
+    return reduce_chain(transform(flip(sol, indices)))
 
 
-def _multiplicities(sol: ChainSolution):
-    counts = {}
-    for x, _ in sol.pairs:
-        key = _canon_x(x)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _apply(sol: ChainSolution, schedule: FlipSchedule) -> ChainSolution:
+    for indices in schedule.rounds:
+        sol = _round(sol, indices)
+    return sol
 
 
-def _all_distinct(sol: ChainSolution) -> bool:
-    counts = _multiplicities(sol)
-    if any(k == 0 for k in counts):
-        return False
-    return all(v == 1 for v in counts.values())
-
-
-def _flip_half_blocks(sol: ChainSolution) -> ChainSolution:
-    """Negate x on the back half of every block of identical pairs."""
-    locs = {}
-    for i, pr in enumerate(sol.pairs):
-        locs.setdefault(pr, []).append(i)
-    to_flip = set()
-    for members in locs.values():
-        k = len(members) // 2
-        if k:
-            to_flip.update(members[len(members) - k:])
-    return flip(sol, to_flip) if to_flip else sol
-
-
-def _round(sol: ChainSolution) -> ChainSolution:
-    sol = _normalize(sol)
-    sol = _flip_half_blocks(sol)
-    sol = transform(sol)
-    return reduce_chain(sol)
-
-
-def _as_system(sol: ChainSolution, distinct: bool) -> SquareSystem:
-    roots = tuple(_canon_x(x) for x in sol.xs)
-    certs = tuple(_canon_x(y) for y in sol.ys)
-    return SquareSystem(sol.n, roots, certs, sol.s, distinct=distinct)
+def _as_system(sol: ChainSolution) -> SquareSystem:
+    return SquareSystem(sol.n, tuple(abs(x) for x in sol.xs),
+                        tuple(abs(y) for y in sol.ys), sol.s)
 
 
 def distinctify(sol: ChainSolution, schedule: FlipSchedule | None = None,
@@ -195,21 +154,23 @@ def distinctify(sol: ChainSolution, schedule: FlipSchedule | None = None,
     multiplicity structure) on failure.
     """
     if schedule is not None:
-        for idx in schedule.rounds:
-            sol = reduce_chain(transform(flip(sol, idx)))
+        sol = _apply(sol, schedule)
     else:
-        rounds = 0
-        while not _all_distinct(sol):
-            if rounds >= max_rounds:
-                raise DistinctifyError(sorted(_multiplicities(sol).values()))
-            sol = _round(sol)
-            rounds += 1
-    if not _all_distinct(sol):
-        raise DistinctifyError(sorted(_multiplicities(sol).values()))
-    return _as_system(sol, distinct=True)
+        for _ in range(max_rounds):
+            if _as_system(sol).distinct:
+                break
+            sol = _round(sol, _halving_flips(sol))
+    system = _as_system(sol)
+    if not system.distinct:
+        raise DistinctifyError(sorted(Counter(system.roots).values()))
+    return system
 
 
 _SEEDS = {5: seed_n5_simple, 6: seed_n6}
+
+# The halving rounds over the polynomial seeds, read off as index sets.
+_SCHEDULES = {5: FlipSchedule(((), (0, 2))),
+              6: FlipSchedule(((), (1, 2, 5)))}
 
 
 def method1_seed(n: int, t):
@@ -219,45 +180,32 @@ def method1_seed(n: int, t):
     return lemma3_general(n, t)
 
 
-_family_cache: dict = {}
-
-
-def method1_family(n: int) -> SquareSystem:
-    """Distinct parametric family in t (polynomial entries), cached."""
-    if n not in _family_cache:
-        _family_cache[n] = distinctify(method1_seed(n, X))
-    return _family_cache[n]
-
-
 def finalize_system(pairs, n: int, label: str) -> SquareSystem:
     """Joint gcd reduction + distinctness gate for integer pairs."""
     pairs = list(pairs)
     g = vec_gcd([v for pr in pairs for v in pr])
-    chain = ChainSolution.from_pairs((x // g, y // g) for x, y in pairs)
-    roots = [abs(x) for x in chain.xs]
-    if len(set(roots)) != n or 0 in roots:
+    system = _as_system(
+        ChainSolution.from_pairs((x // g, y // g) for x, y in pairs))
+    if system.n != n or not system.distinct:
         raise DegenerateParameterError(
             f"{label} collapses the family to repeated or zero roots")
-    return _as_system(chain, distinct=True)
+    return system
 
 
 def generate_method1(n: int, t: int) -> SquareSystem:
     """Method-1 run at integer t: evolve the seed until distinct, reduce.
 
     For n = 5 and 6 (the cases with published reference values) the
-    rounds run once over polynomials in t and the cached family is
-    evaluated.  Other n evolve numerically at t directly; the output is
-    validator-checked either way.  Degenerate t raises.
+    rounds follow the fixed flip schedule of the polynomial family, so
+    every t gives that family's value.  Other n run the halving rounds
+    at t itself.  Either way the pairs pass finalize_system: a t at
+    which the seed vanishes or two roots coincide raises
+    DegenerateParameterError.
     """
-    method1_seed(n, t)  # eager degeneracy check at the numeric point
-    if n in _SEEDS:
-        family = method1_family(n)
-        ints = []
-        for p, q in zip(family.roots, family.certificates):
-            vx, vy = p(t), q(t)
-            if vx.denominator != 1 or vy.denominator != 1:
-                raise DomainError("non-integer family value")
-            ints.append((int(vx), int(vy)))
-        return finalize_system(ints, n, f"t={t}")
-    sys = distinctify(method1_seed(n, t))
-    return finalize_system(zip(sys.roots, sys.certificates), n, f"t={t}")
+    seed = method1_seed(n, t)
+    if n in _SCHEDULES:
+        pairs = _apply(seed, _SCHEDULES[n]).pairs
+    else:
+        sys = distinctify(seed)
+        pairs = zip(sys.roots, sys.certificates)
+    return finalize_system(pairs, n, f"t={t}")

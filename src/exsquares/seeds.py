@@ -53,15 +53,19 @@ class ChainSolution:
 class SquareSystem:
     """n roots whose squares sum to s, with per-index certificates.
 
-    certificates[i]^2 == s - roots[i]^2 for every i.  When ``distinct``
-    is set, |roots| are pairwise distinct and nonzero.
+    certificates[i]^2 == s - roots[i]^2 for every i.
     """
 
     n: int
     roots: tuple
     certificates: tuple
     s: object
-    distinct: bool = False
+
+    @property
+    def distinct(self) -> bool:
+        """|roots| are pairwise distinct and nonzero."""
+        mags = {abs(r) for r in self.roots}
+        return len(mags) == len(self.roots) and 0 not in mags
 
 
 def _require_nonzero(pairs, what):

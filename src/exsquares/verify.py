@@ -111,8 +111,7 @@ def system_from_chain(sol: ChainSolution) -> SquareSystem:
         raise DomainError(f"not a valid chain: {rep}")
     roots = tuple(abs(x) for x in sol.xs)
     certs = tuple(abs(y) for y in sol.ys)
-    distinct = len(set(roots)) == sol.n and 0 not in roots
-    return SquareSystem(sol.n, roots, certs, sol.s, distinct=distinct)
+    return SquareSystem(sol.n, roots, certs, sol.s)
 
 
 def chain_from_system(sys: SquareSystem) -> ChainSolution:

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
-from exsquares.cli import system_from_json, system_to_json
+from exsquares.cli import _pool_size, system_from_json, system_to_json
 from exsquares.seeds import lemma3_special
 from exsquares.verify import system_from_chain, validate_system
 
@@ -165,3 +165,19 @@ def test_sweep_deterministic_across_worker_counts():
 def test_sweep_flag_mismatch_exits_2():
     assert run("sweep", "--n", "5", "--method", "1").returncode == 2
     assert run("sweep", "--n", "5", "--method", "2").returncode == 2
+
+
+def test_pool_size_is_bounded_by_cpus_and_points():
+    assert _pool_size(10 ** 6, 50, 2) == 2
+    assert _pool_size(10 ** 6, 3, 64) == 3
+    assert _pool_size(4, 50, None) == 1
+    assert _pool_size(1, 50, 8) == 1
+    assert _pool_size(0, 50, 8) == 0
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    probe = ("import sys, exsquares.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -1,16 +1,20 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M1_N6_T2
+from exsquares import evolve
 from exsquares.exactmath import DomainError
 from exsquares.polyfield import Poly, X
-from exsquares.seeds import (DegenerateParameterError, lemma3_general,
-                             lemma3_special, seed_n5_simple, seed_n6)
+from exsquares.seeds import (ChainSolution, DegenerateParameterError,
+                             lemma3_general, lemma3_special, seed_n5_simple,
+                             seed_n6)
 from exsquares.evolve import (DistinctifyError, FlipSchedule, NotAnImageError,
                               TransformCoefficients, coefficients,
-                              distinctify, flip, generate_method1,
-                              inverse_transform, method1_family, reduce_chain,
-                              transform)
+                              distinctify, finalize_system, flip,
+                              generate_method1, inverse_transform,
+                              method1_seed, reduce_chain, transform)
 from exsquares.verify import validate_chain, validate_system
 
 
@@ -83,6 +87,67 @@ def _canon(p):
     return p if p.coeffs[-1] > 0 else -p
 
 
+def _content_reduce(sol):
+    """Divide polynomial pairs by the gcd of all their integer coefficients."""
+    g = 0
+    for x, y in sol.pairs:
+        for c in x.coeffs + y.coeffs:
+            assert c.denominator == 1
+            g = gcd(g, c.numerator)
+    return ChainSolution.from_pairs(
+        (Poly(c / g for c in x.coeffs), Poly(c / g for c in y.coeffs))
+        for x, y in sol.pairs)
+
+
+def _polynomial_rounds(n):
+    """Oracle: the halving rounds of method 1 run over polynomials in t.
+
+    Each round negates the entries with a negative leading coefficient,
+    then the back half of every block of identical pairs, transforms and
+    strips the integer content.  Returns the distinct family and, per
+    round, the index set negated in total.
+    """
+    sol = method1_seed(n, X)
+    flips = []
+    while len({_canon(x) for x in sol.xs}) < n:
+        negative = {i for i, x in enumerate(sol.xs) if x.lead < 0}
+        blocks = {}
+        for i, (x, y) in enumerate(sol.pairs):
+            blocks.setdefault((_canon(x), y), []).append(i)
+        back = {i for members in blocks.values()
+                for i in members[len(members) - len(members) // 2:]}
+        flips.append(frozenset(negative ^ back))
+        sol = _content_reduce(transform(flip(sol, flips[-1])))
+    return sol, tuple(flips)
+
+
+def _family_at(n, family, t):
+    """What evaluating the polynomial family at t gives, or the error."""
+    try:
+        method1_seed(n, t)
+        pairs = [(int(x(t)), int(y(t))) for x, y in family.pairs]
+        return finalize_system(pairs, n, f"t={t}")
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_schedules_are_the_polynomial_rounds():
+    for n, schedule in evolve._SCHEDULES.items():
+        assert _polynomial_rounds(n)[1] == schedule.rounds
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_generate_method1_equals_polynomial_family(n):
+    family, _ = _polynomial_rounds(n)
+    for t in range(-60, 61):
+        want = _family_at(n, family, t)
+        try:
+            got = generate_method1(n, t)
+        except DomainError as exc:
+            got = type(exc), str(exc)
+        assert got == want, t
+
+
 def test_one_transform_round_matches_printed_intermediate():
     one = Poly([1])
     x1 = -2 * X * (9 * X ** 4 - 30 * X * X - 7 * one)
@@ -92,7 +157,7 @@ def test_one_transform_round_matches_printed_intermediate():
     y3 = 81 * X ** 6 + 69 * X ** 4 + 55 * X * X + 3 * one
     y5 = 4 * X * (45 * X ** 4 + 18 * X * X + 5 * one)
 
-    out = reduce_chain(transform(seed_n5_simple(X)))
+    out = _content_reduce(transform(seed_n5_simple(X)))
     want = ((x1, y1), (x1, y1), (x3, y3), (x3, y3), (x5, y5))
     for (gx, gy), (wx, wy) in zip(out.pairs, want):
         # each entry's sign is a free choice; compare positive-lead forms
@@ -129,10 +194,10 @@ def test_distinctify_reports_surviving_multiplicities():
 
 
 def test_method1_family_is_polynomial_and_distinct():
-    family = method1_family(5)
-    assert family.distinct
-    assert all(isinstance(p, Poly) for p in family.roots)
-    degs = sorted(p.degree for p in family.roots)
+    family, _ = _polynomial_rounds(5)
+    assert all(isinstance(p, Poly) for p in family.xs)
+    assert len({_canon(p) for p in family.xs}) == 5
+    degs = sorted(p.degree for p in family.xs)
     assert degs == [17, 17, 17, 17, 18]
 
 
