@@ -15,11 +15,11 @@ transform, inverse_transform and flip are generic over the scalar type;
 distinctify and generate_method1 run the rounds on integers.  Run over
 the n = 5, 6 seeds as polynomials in t, the halving rounds negate index
 sets that cannot depend on t, so they are kept as fixed schedules
-(_SCHEDULES) and applied at the integer t.  That gives the polynomial family's value at
-every t: evaluation commutes with flip and transform, each reduction
-divides by a positive scalar and the transform is homogeneous of odd
-degree, so the two chains are positive multiples of each other, and the
-final gcd reduction makes them equal.
+(_SCHEDULES) and applied at the integer t.  That gives the polynomial
+family's value at every t: evaluation commutes with flip and transform,
+each reduction divides by a positive scalar and the transform is
+homogeneous of odd degree, so the two chains are positive multiples of
+each other, and the final gcd reduction makes them equal.
 """
 
 from __future__ import annotations

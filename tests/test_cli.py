@@ -162,6 +162,20 @@ def test_sweep_deterministic_across_worker_counts():
     assert one.stdout  # not vacuous
 
 
+def test_sweep_pool_matches_serial_whatever_the_cpu_count():
+    # The pool is clamped to the CPU count, so on a one-CPU host the test
+    # above never starts one; pretend there are two to run the pool path.
+    argv = ["sweep", "--n", "5", "--method", "2", "--max-sum", "8"]
+    code = ("import os, sys; os.cpu_count = lambda: 2; "
+            "from exsquares.cli import main; "
+            f"sys.exit(main({argv + ['--jobs', '2']!r}))")
+    pooled = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert pooled.returncode == 0
+    assert pooled.stdout == run(*argv).stdout
+    assert pooled.stdout  # not vacuous
+
+
 def test_sweep_flag_mismatch_exits_2():
     assert run("sweep", "--n", "5", "--method", "1").returncode == 2
     assert run("sweep", "--n", "5", "--method", "2").returncode == 2
