@@ -9,9 +9,14 @@ File format: blocks separated by blank lines.  Each block is a header
 line ``id n degree kind`` followed by one parenthesized coefficient
 tuple per line (the (c_0, ..., c_n) notation of polyfield.HomogPoly).
 kind is "t" (one integer parameter, entries evaluated at (t, 1)) or
-"pq" (a projective integer pair).  A block with n tuples stores roots
-only (certificates are recovered at evaluation time from the exclusion
-sums); a block with 2n tuples stores roots then certificates.
+"pq" (a projective integer pair).  A "pq" tuple is a homogeneous form
+of exactly the header degree.  A "t" tuple is an inhomogeneous
+polynomial in t, read at (t, 1), so tuples may differ in length; the
+header gives the largest degree among them.  The parser rejects a
+block whose degrees disagree with its header.  A block with n tuples
+stores roots only (certificates are recovered at evaluation time from
+the exclusion sums); a block with 2n tuples stores roots then
+certificates.
 """
 
 from __future__ import annotations
@@ -75,12 +80,21 @@ def _parse_blocks(text):
         head, *tuples = block
         block = []
         parts = head.split()
-        if len(parts) != 4:
+        if len(parts) != 4 or not (parts[1].isdigit() and parts[2].isdigit()):
             raise DomainError(f"bad catalog header: {head!r}")
         fid, n, degree, kind = parts[0], int(parts[1]), int(parts[2]), parts[3]
         if kind not in ("t", "pq"):
             raise DomainError(f"bad catalog kind in {head!r}")
         polys = tuple(HomogPoly.parse(tp) for tp in tuples)
+        degrees = {p.degree for p in polys}
+        if kind == "pq" and degrees - {degree}:
+            raise DomainError(
+                f"family {fid}: pq tuple degrees {sorted(degrees)} "
+                f"differ from header degree {degree}")
+        if kind == "t" and max(degrees, default=degree) != degree:
+            raise DomainError(
+                f"family {fid}: largest t tuple degree {max(degrees)} "
+                f"differs from header degree {degree}")
         if len(polys) == n:
             entries, certs = polys, None
         elif len(polys) == 2 * n:

@@ -32,9 +32,9 @@ from math import gcd, lcm
 
 from .exactmath import DomainError, is_perfect_square, isqrt, rational_sqrt
 from .identities import chain4, chain8, pair_norm
-from .polyfield import Poly, RatFunc, X, poly_gcd, poly_sqrt
+from .polyfield import Poly, X
 from .seeds import ChainSolution, DegenerateParameterError, SquareSystem
-from .evolve import finalize_system, reduce_chain, transform
+from .evolve import finalize_system, transform
 
 
 class DegenerateFormError(DomainError):
@@ -198,49 +198,19 @@ def _scalar_sqrt(v):
         return isqrt(v)
     if isinstance(v, Fraction):
         return rational_sqrt(v)
-    if isinstance(v, Poly):
-        return poly_sqrt(v)
-    if isinstance(v, RatFunc):
-        num = poly_sqrt(v.num)
-        den = poly_sqrt(v.den)
-        if num is None or den is None:
-            return None
-        return RatFunc(num, den)
     raise DomainError(f"no square root defined for {type(v).__name__}")
 
 
-def _poly_pair_normalize(u: Poly, v: Poly):
-    if not u and not v:
-        raise DomainError("projective pair cannot be (0, 0)")
-    g = poly_gcd(u, v)
-    if g:
-        u, v = u // g, v // g
-    den = 1
-    for c in u.coeffs + v.coeffs:
-        den = lcm(den, c.denominator)
-    top = gcd(*(int(c * den) for c in u.coeffs + v.coeffs))
-    u, v = u * Fraction(den, top), v * Fraction(den, top)
-    first = u if u else v
-    if first.lead < 0:
-        u, v = -u, -v
-    return u, v
-
-
 def normalize_projective(u, v):
-    """Canonical representative of (u : v).
+    """Canonical representative of (u : v) for integer or Fraction
+    entries: cleared to coprime integers, first nonzero entry positive.
 
-    Integers/fractions: cleared to coprime integers, first nonzero
-    entry positive.  Polynomials: common factor and content removed,
-    first nonzero entry has positive leading coefficient.
+    Any other scalar type raises DomainError.
     """
-    if isinstance(u, RatFunc) or isinstance(v, RatFunc):
-        ru = u if isinstance(u, RatFunc) else RatFunc(u)
-        rv = v if isinstance(v, RatFunc) else RatFunc(v)
-        return _poly_pair_normalize(ru.num * rv.den, rv.num * ru.den)
-    if isinstance(u, Poly) or isinstance(v, Poly):
-        u = u if isinstance(u, Poly) else Poly([u])
-        v = v if isinstance(v, Poly) else Poly([v])
-        return _poly_pair_normalize(u, v)
+    if not (isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction))):
+        raise DomainError(
+            f"no projective normal form for ({type(u).__name__}, "
+            f"{type(v).__name__})")
     fu, fv = Fraction(u), Fraction(v)
     if fu == 0 and fv == 0:
         raise DomainError("projective pair cannot be (0, 0)")
@@ -262,34 +232,24 @@ def _proportional(pair1, pair2):
 # ---------------------------------------------------------------------------
 
 def solve_quadratic(form: QuadraticForm):
-    """Both projective roots of the form, normalized.
+    """Both projective roots of an integer or Fraction form, normalized.
 
     Linear case (A == 0): the finite root (-C : B) first, then the root
-    at infinity (1 : 0).  Quadratic case: needs the discriminant to be
-    an exact square in the scalar ring, else NoRationalRootError.
+    at infinity (1, 0).  Quadratic case: needs the discriminant to be
+    an exact rational square, else NoRationalRootError.
     """
     if form.A == 0:
         if form.B == 0:
             if form.C == 0:
                 raise DegenerateFormError("form is identically zero")
-            one, zero = _like_one_zero(form.C)
-            return ((one, zero), (one, zero))
-        one, zero = _like_one_zero(form.B)
-        return (normalize_projective(-form.C, form.B), (one, zero))
+            return ((1, 0), (1, 0))
+        return (normalize_projective(-form.C, form.B), (1, 0))
     disc = form.B * form.B - 4 * form.A * form.C
     root = _scalar_sqrt(disc)
     if root is None:
         raise NoRationalRootError("discriminant is not an exact square")
     return (normalize_projective(-form.B + root, 2 * form.A),
             normalize_projective(-form.B - root, 2 * form.A))
-
-
-def _like_one_zero(sample):
-    if isinstance(sample, Poly):
-        return Poly([1]), Poly()
-    if isinstance(sample, RatFunc):
-        return RatFunc(1), RatFunc(0)
-    return 1, 0
 
 
 def vieta_second_root(form: QuadraticForm, known):
@@ -310,10 +270,10 @@ def fermat_square(quartic: Poly, end: str = "lead") -> Fraction:
     one end: end="lead" matches the x^4 and x^3 and x^2 coefficients
     (needs square leading coefficient), end="const" matches the x^0,
     x^1, x^2 coefficients (needs square constant term).  What is left
-    over is linear (times a power of x); its root is returned.
+    over is linear (times a power of x); its root is returned.  The
+    quartic is a Poly in x, as discriminant returns for a residual in a
+    symbolic pair (x : 1).
     """
-    if not isinstance(quartic, Poly):
-        quartic = Poly(quartic)
     if quartic.degree > 4 or quartic.degree < 0:
         raise DomainError("fermat_square expects degree <= 4")
     c = list(quartic.coeffs) + [Fraction(0)] * (5 - len(quartic.coeffs))
@@ -528,7 +488,6 @@ def _run(assignment, params, transform_once, label):
     sol = ChainSolution.from_pairs(assignment_pairs(assignment, params))
     if transform_once:
         sol = transform(sol)
-    sol = reduce_chain(sol)
     return finalize_system(sol.pairs, assignment.n, label)
 
 

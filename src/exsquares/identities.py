@@ -1,10 +1,13 @@
 """Two-square composition and the equal-norm representation chains.
 
-A product of sums of two squares is again a sum of two squares, in two
-ways.  Iterating the composition over three or four parameter pairs and
-flipping the signs of selected second components yields four (``chain4``)
-or eight (``chain8``) representations (a_i, b_i) that all share one norm:
-the product of the parameter-pair norms.
+Read a pair (u1, u2) as the Gaussian integer u1 + i*u2, whose norm is
+u1^2 + u2^2.  Norms multiply (the Brahmagupta-Fibonacci identity), so a
+product of Gaussian integers, with any factors conjugated, has the
+product of the factor norms as its norm.  ``phi`` is f*conj(g)*h and
+``psi`` is i*e*conj(f)*g*conj(h).  Conjugating selected factors
+(negating their second components) yields four (``chain4``) or eight
+(``chain8``) representations (a_i, b_i) that all share one norm: the
+product of the parameter-pair norms.
 
 All functions are generic in their scalar type: ints, Fractions, or the
 polynomial scalars from :mod:`exsquares.polyfield` work alike, since only
@@ -24,23 +27,25 @@ def compose(u1, u2, v1, v2):
 
 
 def phi(f1, f2, g1, g2, h1, h2):
-    """Three-factor generator pair (phi1, phi2).
+    """Three-factor generator pair (phi1, phi2) = f * conj(g) * h.
 
     phi1^2 + phi2^2 = (f1^2+f2^2)(g1^2+g2^2)(h1^2+h2^2).
     """
-    return ((f1 * g1 + f2 * g2) * h1 + (f1 * g2 - f2 * g1) * h2,
-            (-f1 * g2 + f2 * g1) * h1 + (f1 * g1 + f2 * g2) * h2)
+    a = f1 * g1 + f2 * g2  # f * conj(g)
+    b = f2 * g1 - f1 * g2
+    return (a * h1 - b * h2, b * h1 + a * h2)
 
 
 def psi(e1, e2, f1, f2, g1, g2, h1, h2):
-    """Four-factor generator pair (psi1, psi2).
+    """Four-factor generator pair (psi1, psi2) = i * e * conj(f) * g * conj(h).
 
     psi1^2 + psi2^2 = (e1^2+e2^2)(f1^2+f2^2)(g1^2+g2^2)(h1^2+h2^2).
     """
-    return ((-e1 * f1 * g2 + e1 * f2 * g1 - e2 * f1 * g1 - e2 * f2 * g2) * h1
-            + (e1 * f1 * g1 + e1 * f2 * g2 - e2 * f1 * g2 + e2 * f2 * g1) * h2,
-            (e1 * f1 * g1 + e1 * f2 * g2 - e2 * f1 * g2 + e2 * f2 * g1) * h1
-            + (e1 * f1 * g2 - e1 * f2 * g1 + e2 * f1 * g1 + e2 * f2 * g2) * h2)
+    a = e1 * f1 + e2 * f2  # e * conj(f)
+    b = e2 * f1 - e1 * f2
+    c = a * g1 - b * g2  # ... * g
+    d = a * g2 + b * g1
+    return (c * h2 - d * h1, c * h1 + d * h2)  # i * ... * conj(h)
 
 
 # Which second components get negated to produce chain member i.  The

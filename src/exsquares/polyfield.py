@@ -1,26 +1,22 @@
-"""Exact univariate polynomial / rational-function arithmetic.
+"""Exact polynomial arithmetic, no larger than its two users need.
 
-Two polynomial views live here:
-
-* ``Poly``: dense, low-degree-first list of Fractions.  This is the
-  working representation: parameter polynomials in t, and the
-  dehomogenized field over which the quadratic-solving derivations run.
+* ``Poly``: dense, low-degree-first tuple of Fractions with ring
+  operations, powers and evaluation.  The method-2 derivations run the
+  residual over ``Poly`` in one dehomogenized parameter (second
+  variable set to 1) to get the discriminant quartic that Fermat
+  matching works on; seeds evaluated at ``X`` give the method-1 family
+  as polynomials in t.
 * ``HomogPoly``: a homogeneous bivariate form kept as its coefficient
   tuple (c_0, ..., c_n) with value sum(c_j * u**(n-j) * v**j).  This is
   the notation the published coefficient tables use, so the catalog
-  stores and prints it verbatim.
-
-Derivations run dehomogenized (second variable set to 1) and are
-re-homogenized by degree bookkeeping; the families involved are
-homogeneous, so nothing is lost.
+  stores it verbatim and evaluates it with ``homog_eval``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from .exactmath import DomainError, rational_sqrt
+from .exactmath import DomainError
 
 
 def _coerce(v):
@@ -133,199 +129,14 @@ class Poly:
             k >>= 1
         return out
 
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lb = other.degree, other.lead
-        if len(rem) - 1 < db:
-            return Poly(), self
-        quo = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] / lb
-            if c:
-                quo[i - db] = c
-                for j, cb in enumerate(other.coeffs):
-                    rem[i - db + j] -= c * cb
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    # -- normal forms -------------------------------------------------
-
-    def monic(self):
-        if not self:
-            return self
-        return Poly([c / self.lead for c in self.coeffs])
-
-    def primitive(self):
-        """Integer-content normal form: positive-leading, coprime
-        integer coefficients.  Returns (content, primitive) with
-        self == content * primitive; content carries the sign."""
-        if not self:
-            return Fraction(0), self
-        den = lcm(*(c.denominator for c in self.coeffs))
-        nums = [int(c * den) for c in self.coeffs]
-        g = gcd(*(abs(v) for v in nums))
-        if nums[-1] < 0:
-            g = -g
-        return Fraction(g, den), Poly([Fraction(v, g) for v in nums])
-
 
 X = Poly([0, 1])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) is the zero polynomial."""
-    while b:
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_sqrt(p: Poly):
-    """Exact square root of a perfect-square polynomial, else None.
-
-    The root is normalized to a positive leading coefficient.
-    """
-    if not p:
-        return Poly()
-    if p.degree % 2:
-        return None
-    # strip an even power of x so the constant term is nonzero
-    low = 0
-    while p.coeffs[low] == 0:
-        low += 1
-    if low % 2:
-        return None
-    body = Poly(p.coeffs[low:])
-    half = body.degree // 2
-    c0 = rational_sqrt(body.coeffs[0])
-    if c0 is None or c0 == 0:
-        return None
-    out = [c0]
-    for k in range(1, half + 1):
-        acc = body.coeffs[k]
-        for i in range(1, k):
-            acc -= out[i] * out[k - i]
-        out.append(acc / (2 * c0))
-    root = Poly([Fraction(0)] * (low // 2) + out)
-    if root * root != p:
-        return None
-    if root.lead < 0:
-        root = -root
-    return root
-
-
-class RatFunc:
-    """Quotient of two Polys, kept with num/den coprime and den monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=Poly([1])):
-        num = _coerce(num)
-        den = _coerce(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            num, den = num // g, den // g
-        else:
-            den = Poly([1])
-        lead = den.lead
-        if lead != 1:
-            num = Poly([c / lead for c in num.coeffs])
-            den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def _wrap(cls, v):
-        if isinstance(v, RatFunc):
-            return v
-        p = _coerce(v)
-        if p is NotImplemented:
-            return NotImplemented
-        return cls(p)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = RatFunc._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __add__(self, other):
-        other = RatFunc._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = RatFunc._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RatFunc._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc._wrap(other) / self
-
-    def __pow__(self, k):
-        if k < 0:
-            return RatFunc(self.den, self.num) ** (-k)
-        return RatFunc(self.num ** k, self.den ** k)
-
-    def __call__(self, x):
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num(x) / d
 
 
 class HomogPoly:
@@ -358,13 +169,6 @@ class HomogPoly:
     def __repr__(self):
         return f"HomogPoly({list(self.coeffs)!r})"
 
-    def __call__(self, u, v):
-        return homog_eval(self, u, v)
-
-    def text(self):
-        """Parenthesized comma-separated integer form."""
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
     @classmethod
     def parse(cls, text):
         body = text.strip()
@@ -385,27 +189,3 @@ def homog_eval(p: HomogPoly, u, v):
         vp = vp * v
         acc = acc * u + c * vp
     return acc
-
-
-def dehomogenize(p: HomogPoly) -> Poly:
-    """Set the second variable to 1: Poly in u with low-first coeffs
-    being the reversed tuple."""
-    return Poly(reversed(p.coeffs))
-
-
-def homogenize(p: Poly, degree: int) -> HomogPoly:
-    """Lift a Poly in u back to a degree-``degree`` form.
-
-    Requires integer coefficients and deg p <= degree.
-    """
-    if p.degree > degree:
-        raise DomainError(
-            f"degree mismatch: poly degree {p.degree} > target {degree}")
-    cs = []
-    for j in range(degree + 1):
-        k = degree - j
-        c = p.coeffs[k] if k <= p.degree and k >= 0 else Fraction(0)
-        if c.denominator != 1:
-            raise DomainError("homogenize requires integer coefficients")
-        cs.append(int(c))
-    return HomogPoly(cs)

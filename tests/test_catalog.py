@@ -81,7 +81,19 @@ def test_parser_rejects_malformed_tables():
     with pytest.raises(DomainError):
         _parse_blocks("f 5 10 zz\n(1, 2)\n")
     with pytest.raises(DomainError):
+        _parse_blocks("f five 10 pq\n(1, 2)\n")  # header counts not integers
+    with pytest.raises(DomainError):
         _parse_blocks("f 5 10 pq\n(1, 2)\n(3, 4)\n")  # wrong tuple count
+
+
+def test_parser_rejects_degrees_that_disagree_with_the_header():
+    with pytest.raises(DomainError, match="header degree 2"):
+        _parse_blocks("f 2 2 pq\n(1, 0, 1)\n(1, 1)\n")
+    with pytest.raises(DomainError, match="header degree 3"):
+        _parse_blocks("f 2 3 t\n(1, 0, 1)\n(1, 1)\n")
+    # kind t: tuples may be shorter, as long as the longest fits the header
+    records = _parse_blocks("f 2 2 t\n(1, 0, 1)\n(1, 1)\n")
+    assert records["f"].degree == 2
 
 
 def test_parser_reads_comments_and_blanks():

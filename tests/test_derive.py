@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,7 @@ def test_solve_quadratic_integer_roots():
 
 def test_solve_quadratic_linear_case_includes_point_at_infinity():
     assert solve_quadratic(QuadraticForm(0, 3, -6)) == ((2, 1), (1, 0))
+    assert solve_quadratic(QuadraticForm(0, 0, 5)) == ((1, 0), (1, 0))
 
 
 def test_solve_quadratic_irrational():
@@ -132,10 +134,12 @@ def test_solve_quadratic_irrational():
 
 
 def test_solve_quadratic_polynomial_coefficients():
+    # the solvers work over int and Fraction only; a polynomial
+    # discriminant has no square root there
     one = Poly([1])
     form = QuadraticForm(one, -(2 * X + one), X * (X + one))
-    roots = solve_quadratic(form)
-    assert roots == ((X + one, one), (X, one))
+    with pytest.raises(DomainError):
+        solve_quadratic(form)
 
 
 def test_vieta_second_root():
@@ -150,7 +154,11 @@ def test_normalize_projective():
     assert normalize_projective(36, 63) == (4, 7)
     assert normalize_projective(-4, -6) == (2, 3)
     assert normalize_projective(0, -5) == (0, 1)
-    assert normalize_projective(4 * X, 2 * X * X) == (Poly([2]), X)
+    assert normalize_projective(Fraction(3, 4), Fraction(-5, 6)) == (9, -10)
+    with pytest.raises(DomainError):
+        normalize_projective(4 * X, 2 * X * X)
+    with pytest.raises(DomainError):
+        normalize_projective(2, X)
 
 
 # --- Fermat square matching ------------------------------------------------
