@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .exactmath import DomainError, is_perfect_square, isqrt, vec_gcd
+from .exactmath import DomainError, is_perfect_square, isqrt
 from .polyfield import HomogPoly, homog_eval
 from .seeds import DegenerateParameterError, SquareSystem
-from .evolve import generate_method1, reduce_chain
+from .evolve import generate_method1
 from . import derive
-from .seeds import ChainSolution
 
 
 class UnknownFamilyError(DomainError):
@@ -143,12 +142,14 @@ def _point(record, params):
 
 
 def eval_family(fid: str, params) -> SquareSystem:
-    """Evaluate a family, reduce by joint gcd, return the system.
+    """Evaluate a family at a parameter point and return
+    SquareSystem.from_pairs of its roots and certificates.
 
     params is an integer t for kind "t" records, a pair for kind "pq".
     Certificates not in the table are recovered from the exclusion
     sums, which must be perfect squares (they are, at every parameter
-    point, or the table is corrupt).
+    point, or the table is corrupt).  Repeated roots are returned as
+    they are: the n5-method2-deg10 family has them by design.
     """
     record = get_family(fid)
     u, v = _point(record, params)
@@ -172,17 +173,13 @@ def eval_family(fid: str, params) -> SquareSystem:
                     f"family {fid} table corrupt: exclusion sum {excl} "
                     f"is not a perfect square")
             ys.append(isqrt(excl))
-    g = vec_gcd(xs + ys)
-    roots = tuple(abs(x) // g for x in xs)
-    certs = tuple(abs(y) // g for y in ys)
-    return SquareSystem(record.n, roots, certs, s // (g * g))
+    return SquareSystem.from_pairs(zip(xs, ys))
 
 
 def _deg10_reference(q1, q2):
     params = (derive.n5_p_values(q1, q2), (q1, q2), derive.n5_r_values(q1, q2))
     pairs = derive.assignment_pairs(derive.ASSIGN_N5, params)
-    sol = reduce_chain(ChainSolution.from_pairs(pairs))
-    return sorted(abs(x) for x in sol.xs)
+    return sorted(SquareSystem.from_pairs(pairs).roots)
 
 
 _T_POINTS = tuple(range(2, 12))

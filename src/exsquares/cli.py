@@ -20,7 +20,7 @@ import sys
 
 from . import catalog
 from .exactmath import DomainError
-from .seeds import DegenerateParameterError, SquareSystem
+from .seeds import SquareSystem
 from .evolve import generate_method1
 from .derive import pipeline_n5, pipeline_n6, pipeline_n7, pipeline_n8
 from .verify import validate_system
@@ -93,11 +93,7 @@ def _generate(n, method, t, params):
 
 
 def cmd_gen(args) -> int:
-    try:
-        system = _generate(args.n, args.method, args.t, args.params)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    system = _generate(args.n, args.method, args.t, args.params)
     report = validate_system(system)
     if not report.ok:
         print(f"internal error: generated system failed validation\n{report}",
@@ -108,16 +104,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.file is None or args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        system = system_from_json(text)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if args.file is None or args.file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    system = system_from_json(text)
     report = validate_system(system,
                              require_distinct=not args.allow_repeats)
     print(report)
@@ -125,31 +117,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    try:
-        if args.action == "list":
-            for fid in catalog.list_families():
-                rec = catalog.get_family(fid)
-                print(f"{fid}  n={rec.n}  degree={rec.degree}  "
-                      f"kind={rec.kind}")
-            return 0
-        if args.action == "eval":
-            if args.t is not None:
-                params = args.t
-            elif args.params is not None:
-                params = args.params
-            else:
-                print("error: catalog eval needs --params P1,P2 or --t T",
-                      file=sys.stderr)
-                return 2
-            system = catalog.eval_family(args.id, params)
-            print(system_to_json(system))
-            return 0
-        report = catalog.cross_check(args.id)
-        print(report)
-        return 0 if report.ok else 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.action == "list":
+        for fid in catalog.list_families():
+            rec = catalog.get_family(fid)
+            print(f"{fid}  n={rec.n}  degree={rec.degree}  kind={rec.kind}")
+        return 0
+    if args.action == "eval":
+        if args.t is not None:
+            params = args.t
+        elif args.params is not None:
+            params = args.params
+        else:
+            raise DomainError("catalog eval needs --params P1,P2 or --t T")
+        print(system_to_json(catalog.eval_family(args.id, params)))
+        return 0
+    report = catalog.cross_check(args.id)
+    print(report)
+    return 0 if report.ok else 1
 
 
 def _sweep_points(args):
@@ -192,11 +176,7 @@ def _pool_size(jobs: int, points: int, cpus: int | None) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        points = _sweep_points(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    points = _sweep_points(args)
     workers = _pool_size(args.jobs, len(points), os.cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -267,7 +247,11 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.action in ("eval", "cross-check") \
             and args.id is None:
         parser.error(f"catalog {args.action} needs a family id")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # ValueError: parse, int<->str limit
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, DomainError) else 3
 
 
 if __name__ == "__main__":

@@ -12,14 +12,16 @@ identical block before transforming splits the block.  Repeating the
 round halves every block until all entries differ.
 
 transform, inverse_transform and flip are generic over the scalar type;
-distinctify and generate_method1 run the rounds on integers.  Run over
-the n = 5, 6 seeds as polynomials in t, the halving rounds negate index
-sets that cannot depend on t, so they are kept as fixed schedules
-(_SCHEDULES) and applied at the integer t.  That gives the polynomial
-family's value at every t: evaluation commutes with flip and transform,
-each reduction divides by a positive scalar and the transform is
-homogeneous of odd degree, so the two chains are positive multiples of
-each other, and the final gcd reduction makes them equal.
+distinctify and generate_method1 run the rounds on integers (each round
+ends in reduce_chain, which keeps the signs) and return
+SquareSystem.from_pairs of the last chain.  Run over the n = 5, 6 seeds
+as polynomials in t, the halving rounds negate index sets that cannot
+depend on t, so they are kept as fixed schedules (_SCHEDULES) and
+applied at the integer t.  That gives the polynomial family's value at
+every t: evaluation commutes with flip and transform, each reduction
+divides by a positive scalar and the transform is homogeneous of odd
+degree, so the two chains are positive multiples of each other, and the
+final gcd reduction makes them equal.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class NotAnImageError(DomainError):
 
 
 class DistinctifyError(DomainError):
-    """Flip schedule exhausted with entries still coinciding."""
+    """Halving rounds exhausted with entries still coinciding."""
 
     def __init__(self, multiplicities):
         self.multiplicities = multiplicities
@@ -48,17 +50,6 @@ class DistinctifyError(DomainError):
 class TransformCoefficients:
     P: object
     S: object
-
-
-@dataclass(frozen=True)
-class FlipSchedule:
-    """Index sets to negate before each transform round."""
-
-    rounds: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rounds", tuple(frozenset(r) for r in self.rounds))
 
 
 def coefficients(sol: ChainSolution) -> TransformCoefficients:
@@ -133,44 +124,31 @@ def _round(sol: ChainSolution, indices) -> ChainSolution:
     return reduce_chain(transform(flip(sol, indices)))
 
 
-def _apply(sol: ChainSolution, schedule: FlipSchedule) -> ChainSolution:
-    for indices in schedule.rounds:
-        sol = _round(sol, indices)
-    return sol
+MAX_ROUNDS = 16
 
 
-def _as_system(sol: ChainSolution) -> SquareSystem:
-    return SquareSystem(sol.n, tuple(abs(x) for x in sol.xs),
-                        tuple(abs(y) for y in sol.ys), sol.s)
+def distinctify(sol: ChainSolution) -> SquareSystem:
+    """Run the halving rounds until all |x_i| are pairwise distinct and
+    nonzero, and return the reduced system.
 
-
-def distinctify(sol: ChainSolution, schedule: FlipSchedule | None = None,
-                max_rounds: int = 16) -> SquareSystem:
-    """Make all |x_i| pairwise distinct and nonzero.
-
-    With no schedule, runs the halving rounds until distinct.  With an
-    explicit FlipSchedule, applies exactly those rounds and then demands
-    distinctness.  Raises DistinctifyError (with the surviving
-    multiplicity structure) on failure.
+    Raises DistinctifyError (with the surviving multiplicity structure)
+    if MAX_ROUNDS rounds leave entries coinciding.
     """
-    if schedule is not None:
-        sol = _apply(sol, schedule)
-    else:
-        for _ in range(max_rounds):
-            if _as_system(sol).distinct:
-                break
-            sol = _round(sol, _halving_flips(sol))
-    system = _as_system(sol)
-    if not system.distinct:
-        raise DistinctifyError(sorted(Counter(system.roots).values()))
-    return system
+    rounds = 0
+    # test the unreduced chain: its joint gcd changes no multiplicity
+    while not SquareSystem(sol.n, sol.xs, sol.ys, sol.s).distinct:
+        if rounds == MAX_ROUNDS:
+            raise DistinctifyError(
+                sorted(Counter(abs(x) for x in sol.xs).values()))
+        sol = _round(sol, _halving_flips(sol))
+        rounds += 1
+    return SquareSystem.from_pairs(sol.pairs)
 
 
 _SEEDS = {5: seed_n5_simple, 6: seed_n6}
 
 # The halving rounds over the polynomial seeds, read off as index sets.
-_SCHEDULES = {5: FlipSchedule(((), (0, 2))),
-              6: FlipSchedule(((), (1, 2, 5)))}
+_SCHEDULES = {5: ((), (0, 2)), 6: ((), (1, 2, 5))}
 
 
 def method1_seed(n: int, t):
@@ -181,11 +159,8 @@ def method1_seed(n: int, t):
 
 
 def finalize_system(pairs, n: int, label: str) -> SquareSystem:
-    """Joint gcd reduction + distinctness gate for integer pairs."""
-    pairs = list(pairs)
-    g = vec_gcd([v for pr in pairs for v in pr])
-    system = _as_system(
-        ChainSolution.from_pairs((x // g, y // g) for x, y in pairs))
+    """The reduced system of integer pairs, gated on n distinct roots."""
+    system = SquareSystem.from_pairs(pairs)
     if system.n != n or not system.distinct:
         raise DegenerateParameterError(
             f"{label} collapses the family to repeated or zero roots")
@@ -197,15 +172,13 @@ def generate_method1(n: int, t: int) -> SquareSystem:
 
     For n = 5 and 6 (the cases with published reference values) the
     rounds follow the fixed flip schedule of the polynomial family, so
-    every t gives that family's value.  Other n run the halving rounds
-    at t itself.  Either way the pairs pass finalize_system: a t at
-    which the seed vanishes or two roots coincide raises
-    DegenerateParameterError.
+    every t gives that family's value, and finalize_system rejects a t
+    at which two roots coincide.  Other n return distinctify at t.  A t
+    at which the seed vanishes raises DegenerateParameterError.
     """
-    seed = method1_seed(n, t)
-    if n in _SCHEDULES:
-        pairs = _apply(seed, _SCHEDULES[n]).pairs
-    else:
-        sys = distinctify(seed)
-        pairs = zip(sys.roots, sys.certificates)
-    return finalize_system(pairs, n, f"t={t}")
+    sol = method1_seed(n, t)
+    if n not in _SCHEDULES:
+        return distinctify(sol)
+    for indices in _SCHEDULES[n]:
+        sol = _round(sol, indices)
+    return finalize_system(sol.pairs, n, f"t={t}")

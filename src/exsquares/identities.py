@@ -54,21 +54,17 @@ CHAIN4_FLIPS = ((), (0,), (1,), (2,))
 CHAIN8_FLIPS = ((), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 
 
-def _flip_args(pairs, mask):
-    out = []
-    for k, (u1, u2) in enumerate(pairs):
-        out.append((u1, -u2) if k in mask else (u1, u2))
-    return out
-
-
 def chain4(p, q, r):
     """Four equal-norm pairs built from three parameter pairs.
 
     Every returned (a, b) satisfies a^2 + b^2 = chain4_norm(p, q, r).
     """
+    # each parameter pair and its conjugate, indexed by "k in mask"
+    cp, cq, cr = [(u, (u[0], -u[1])) for u in (p, q, r)]
     out = []
     for mask in CHAIN4_FLIPS:
-        (f1, f2), (g1, g2), (h1, h2) = _flip_args((p, q, r), mask)
+        (f1, f2), (g1, g2), (h1, h2) = (
+            cp[0 in mask], cq[1 in mask], cr[2 in mask])
         out.append(phi(f1, f2, g1, g2, h1, h2))
     return out
 
@@ -78,9 +74,11 @@ def chain8(p, q, r, s):
 
     Every returned (a, b) satisfies a^2 + b^2 = chain8_norm(p, q, r, s).
     """
+    cp, cq, cr, cs = [(u, (u[0], -u[1])) for u in (p, q, r, s)]
     out = []
     for mask in CHAIN8_FLIPS:
-        (e1, e2), (f1, f2), (g1, g2), (h1, h2) = _flip_args((p, q, r, s), mask)
+        (e1, e2), (f1, f2), (g1, g2), (h1, h2) = (
+            cp[0 in mask], cq[1 in mask], cr[2 in mask], cs[3 in mask])
         out.append(psi(e1, e2, f1, f2, g1, g2, h1, h2))
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import DomainError
+from .exactmath import DomainError, vec_gcd
 
 
 class DegenerateParameterError(DomainError):
@@ -60,6 +60,20 @@ class SquareSystem:
     roots: tuple
     certificates: tuple
     s: object
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """The reduced system of integer chain pairs (x_i, y_i).
+
+        Divides by the joint gcd and takes roots |x_i| and certificates
+        |y_i|; s is the sum of the first reduced pair's squares.
+        """
+        pairs = tuple(pairs)
+        g = vec_gcd([v for pair in pairs for v in pair])
+        roots = tuple(abs(x) // g for x, _ in pairs)
+        certs = tuple(abs(y) // g for _, y in pairs)
+        return cls(len(pairs), roots, certs,
+                   roots[0] * roots[0] + certs[0] * certs[0])
 
     @property
     def distinct(self) -> bool:

@@ -104,16 +104,6 @@ def validate_system(sys: SquareSystem, require_distinct: bool = True) -> Report:
     return _report(out)
 
 
-def system_from_chain(sol: ChainSolution) -> SquareSystem:
-    """Forward direction: roots and certificates with canonical signs."""
-    rep = validate_chain(sol)
-    if not rep.ok:
-        raise DomainError(f"not a valid chain: {rep}")
-    roots = tuple(abs(x) for x in sol.xs)
-    certs = tuple(abs(y) for y in sol.ys)
-    return SquareSystem(sol.n, roots, certs, sol.s)
-
-
 def chain_from_system(sys: SquareSystem) -> ChainSolution:
     """Backward direction: recover certificates from the roots alone.
 

@@ -4,8 +4,8 @@ import sys
 
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
 from exsquares.cli import _pool_size, system_from_json, system_to_json
-from exsquares.seeds import lemma3_special
-from exsquares.verify import system_from_chain, validate_system
+from exsquares.seeds import SquareSystem, lemma3_special
+from exsquares.verify import validate_system
 
 
 def run(*args, stdin=None):
@@ -89,14 +89,14 @@ def test_verify_malformed_json_exits_3():
 
 
 def test_verify_allow_repeats():
-    system = system_from_chain(lemma3_special(2, 3))
+    system = SquareSystem.from_pairs(lemma3_special(2, 3).pairs)
     text = system_to_json(system)
     assert run("verify", stdin=text).returncode == 1
     assert run("verify", "--allow-repeats", stdin=text).returncode == 0
 
 
 def test_json_helpers_round_trip():
-    system = system_from_chain(lemma3_special(3, 2))
+    system = SquareSystem.from_pairs(lemma3_special(3, 2).pairs)
     again = system_from_json(system_to_json(system))
     assert again.roots == system.roots
     assert again.certificates == system.certificates
@@ -126,8 +126,21 @@ def test_catalog_cross_check():
 def test_catalog_bad_requests_exit_2():
     assert run("catalog", "eval", "no-such-id", "--params", "1,2") \
         .returncode == 2
-    assert run("catalog", "eval", "n5-method2-deg30").returncode == 2
+    no_params = run("catalog", "eval", "n5-method2-deg30")
+    assert no_params.returncode == 2
+    assert no_params.stderr == \
+        "error: catalog eval needs --params P1,P2 or --t T\n"
     assert run("catalog", "eval").returncode == 2
+
+
+def test_catalog_eval_past_the_digit_limit_exits_3():
+    # 38th powers of a 131-digit parameter exceed the int-to-str limit
+    big = str(10 ** 130 + 1)
+    proc = run("catalog", "eval", "n6-method2-deg38", "--params", f"{big},1")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_sweep_method1_range_is_inclusive_and_verified():

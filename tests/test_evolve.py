@@ -8,9 +8,9 @@ from exsquares import evolve
 from exsquares.exactmath import DomainError
 from exsquares.polyfield import Poly, X
 from exsquares.seeds import (ChainSolution, DegenerateParameterError,
-                             lemma3_general, lemma3_special, seed_n5_simple,
-                             seed_n6)
-from exsquares.evolve import (DistinctifyError, FlipSchedule, NotAnImageError,
+                             SquareSystem, lemma3_general, lemma3_special,
+                             seed_n5_simple, seed_n6)
+from exsquares.evolve import (DistinctifyError, NotAnImageError,
                               TransformCoefficients, coefficients,
                               distinctify, finalize_system, flip,
                               generate_method1, inverse_transform,
@@ -49,6 +49,24 @@ def test_transform_preserves_validity_and_round_trips(data):
     assert back == flipped
     for a, b in back.pairs:  # and back upstream
         assert a * a + b * b == flipped.s
+
+
+@given(st.data())
+@settings(max_examples=120)
+def test_from_pairs_reduces_and_canonicalizes(data):
+    """A scaled, sign-scrambled chain reduces to the original's system."""
+    t = data.draw(st.integers(min_value=2, max_value=40))
+    sol = data.draw(st.sampled_from(_builders(t)))()
+    k = data.draw(st.integers(min_value=2, max_value=10 ** 6))
+    signs = st.sampled_from((1, -1))
+    scaled = [(data.draw(signs) * k * x, data.draw(signs) * k * y)
+              for x, y in sol.pairs]
+    system = SquareSystem.from_pairs(scaled)
+    assert system == SquareSystem.from_pairs(sol.pairs)
+    entries = system.roots + system.certificates
+    assert min(entries) >= 0
+    assert gcd(*entries) == 1
+    assert validate_system(system, require_distinct=False).ok
 
 
 def test_coefficients_are_the_two_weighted_sums():
@@ -133,7 +151,7 @@ def _family_at(n, family, t):
 
 def test_schedules_are_the_polynomial_rounds():
     for n, schedule in evolve._SCHEDULES.items():
-        assert _polynomial_rounds(n)[1] == schedule.rounds
+        assert _polynomial_rounds(n)[1] == tuple(map(frozenset, schedule))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -178,18 +196,14 @@ def test_distinctify_auto_reaches_published_family_values():
     assert sorted(system.roots) == M1_N5_T2
 
 
-def test_distinctify_explicit_schedule():
-    schedule = FlipSchedule(rounds=((), (1, 3)))
-    system = distinctify(seed_n5_simple(2), schedule=schedule)
-    assert sorted(system.roots) == M1_N5_T2
-
-
-def test_distinctify_reports_surviving_multiplicities():
+def test_distinctify_reports_surviving_multiplicities(monkeypatch):
+    monkeypatch.setattr(evolve, "MAX_ROUNDS", 0)
     with pytest.raises(DistinctifyError) as err:
-        distinctify(seed_n5_simple(2), max_rounds=0)
+        distinctify(seed_n5_simple(2))
     assert err.value.multiplicities == [1, 4]
+    monkeypatch.setattr(evolve, "MAX_ROUNDS", 1)
     with pytest.raises(DistinctifyError) as err:
-        distinctify(seed_n5_simple(2), schedule=FlipSchedule(rounds=((),)))
+        distinctify(seed_n5_simple(2))
     assert err.value.multiplicities == [1, 2, 2]
 
 

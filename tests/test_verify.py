@@ -4,8 +4,7 @@ from exsquares.exactmath import DomainError
 from exsquares.seeds import ChainSolution, SquareSystem, lemma3_special
 from exsquares.derive import pipeline_n5
 from exsquares.verify import (Report, Violation, chain_from_system,
-                              system_from_chain, validate_chain,
-                              validate_system)
+                              validate_chain, validate_system)
 
 
 def test_valid_chain_passes():
@@ -74,7 +73,7 @@ def test_zero_root_flagged():
 
 
 def test_repeats_flagged_unless_allowed():
-    system = system_from_chain(lemma3_special(2, 4))
+    system = SquareSystem.from_pairs(lemma3_special(2, 4).pairs)
     assert not system.distinct
     strict = validate_system(system)
     assert not strict.ok
@@ -84,11 +83,11 @@ def test_repeats_flagged_unless_allowed():
 
 def test_system_chain_round_trip():
     chain = lemma3_special(3, 2)
-    system = system_from_chain(chain)
+    system = SquareSystem.from_pairs(chain.pairs)
     assert system.roots == tuple(abs(x) for x in chain.xs)
     back = chain_from_system(system)
     assert validate_chain(back).ok
-    assert system_from_chain(back) == system
+    assert SquareSystem.from_pairs(back.pairs) == system
 
 
 def test_chain_from_corrupt_system_raises():
