@@ -17,7 +17,7 @@ print()
 fid = "n6-method2-deg38"
 rec = get_family(fid)
 print(f"{fid} stores {len(rec.entries)} coefficient tuples; the first is")
-print(" ", rec.entries[0].coeffs)
+print(" ", rec.entries[0])
 print()
 
 system = eval_family(fid, (1, 2))

@@ -24,7 +24,7 @@ print(f"  C = {form.C}")
 
 quartic = discriminant(form)
 print("its discriminant is a quartic in p1/p2; a rational point where")
-print("it turns square:", fermat_square(quartic, end="const"))
+print("it turns square:", fermat_square(quartic))
 print()
 
 got = derive_n5(*q)

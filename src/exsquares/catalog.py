@@ -6,17 +6,19 @@ cross_check, which regenerates every family from the construction
 machinery and compares values.
 
 File format: blocks separated by blank lines.  Each block is a header
-line ``id n degree kind`` followed by one parenthesized coefficient
-tuple per line (the (c_0, ..., c_n) notation of polyfield.HomogPoly).
-kind is "t" (one integer parameter, entries evaluated at (t, 1)) or
-"pq" (a projective integer pair).  A "pq" tuple is a homogeneous form
-of exactly the header degree.  A "t" tuple is an inhomogeneous
-polynomial in t, read at (t, 1), so tuples may differ in length; the
-header gives the largest degree among them.  The parser rejects a
-block whose degrees disagree with its header.  A block with n tuples
-stores roots only (certificates are recovered at evaluation time from
-the exclusion sums); a block with 2n tuples stores roots then
-certificates.
+line ``id n degree kind`` followed by one parenthesized integer
+coefficient tuple (c_0, ..., c_n) per line, read as the homogeneous
+form sum(c_j * u**(n-j) * v**j): c_0 multiplies the highest power of
+the first variable.  This module alone parses and evaluates the
+tuples; a record keeps them as plain int tuples.  kind is "t" (one
+integer parameter, entries evaluated at (t, 1)) or "pq" (a projective
+integer pair).  A "pq" tuple is a homogeneous form of exactly the
+header degree.  A "t" tuple is an inhomogeneous polynomial in t, read
+at (t, 1), so tuples may differ in length; the header gives the
+largest degree among them.  The parser rejects a block whose degrees
+disagree with its header.  A block with n tuples stores roots only
+(certificates are recovered at evaluation time from the exclusion
+sums); a block with 2n tuples stores roots then certificates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .exactmath import DomainError, is_perfect_square, isqrt
-from .polyfield import HomogPoly, homog_eval
 from .seeds import DegenerateParameterError, SquareSystem
 from .evolve import generate_method1
 from . import derive
@@ -41,8 +42,8 @@ class FamilyRecord:
     n: int
     degree: int
     kind: str  # "t" or "pq"
-    entries: tuple  # HomogPoly per root
-    certificates: tuple | None  # HomogPoly per certificate, if stored
+    entries: tuple  # coefficient tuple per root
+    certificates: tuple | None  # coefficient tuple per certificate, if stored
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,26 @@ class CrossCheckReport:
                  f"{len(self.points)} points"]
         lines += [f"  {pt}: {msg}" for pt, msg in self.mismatches]
         return "\n".join(lines)
+
+
+def _parse_tuple(text):
+    body = text.strip()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise DomainError(f"not a parenthesized tuple: {text!r}")
+    try:
+        return tuple(int(p) for p in body[1:-1].split(","))
+    except ValueError as exc:
+        raise DomainError(f"bad tuple entry in {text!r}") from exc
+
+
+def _eval_form(coeffs, u, v):
+    """sum(c_j * u**(n-j) * v**j), Horner in u with running powers of v."""
+    acc = coeffs[0]
+    vp = 1
+    for c in coeffs[1:]:
+        vp = vp * v
+        acc = acc * u + c * vp
+    return acc
 
 
 def _parse_blocks(text):
@@ -84,8 +105,8 @@ def _parse_blocks(text):
         fid, n, degree, kind = parts[0], int(parts[1]), int(parts[2]), parts[3]
         if kind not in ("t", "pq"):
             raise DomainError(f"bad catalog kind in {head!r}")
-        polys = tuple(HomogPoly.parse(tp) for tp in tuples)
-        degrees = {p.degree for p in polys}
+        polys = tuple(_parse_tuple(tp) for tp in tuples)
+        degrees = {len(p) - 1 for p in polys}
         if kind == "pq" and degrees - {degree}:
             raise DomainError(
                 f"family {fid}: pq tuple degrees {sorted(degrees)} "
@@ -137,7 +158,11 @@ def _point(record, params):
                     f"family {record.id} takes a single parameter t")
             params = params[0]
         return int(params), 1
-    u, v = params
+    try:
+        u, v = params
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"family {record.id} takes a parameter pair") from None
     return int(u), int(v)
 
 
@@ -153,13 +178,13 @@ def eval_family(fid: str, params) -> SquareSystem:
     """
     record = get_family(fid)
     u, v = _point(record, params)
-    xs = [homog_eval(e, u, v) for e in record.entries]
+    xs = [_eval_form(e, u, v) for e in record.entries]
     if any(x == 0 for x in xs):
         raise DegenerateParameterError(
             f"family {fid} has a zero root at {params}")
     s = sum(x * x for x in xs)
     if record.certificates is not None:
-        ys = [homog_eval(e, u, v) for e in record.certificates]
+        ys = [_eval_form(e, u, v) for e in record.certificates]
         for x, y in zip(xs, ys):
             if x * x + y * y != s:
                 raise DomainError(

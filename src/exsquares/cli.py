@@ -23,7 +23,7 @@ from .exactmath import DomainError
 from .seeds import SquareSystem
 from .evolve import generate_method1
 from .derive import pipeline_n5, pipeline_n6, pipeline_n7, pipeline_n8
-from .verify import validate_system
+from .verify import Report, Violation, validate_system
 
 _PIPELINES = {5: pipeline_n5, 6: pipeline_n6, 7: pipeline_n7,
               8: pipeline_n8}
@@ -112,6 +112,12 @@ def cmd_verify(args) -> int:
     system = system_from_json(text)
     report = validate_system(system,
                              require_distinct=not args.allow_repeats)
+    if json.loads(text).get("reduced") is True:
+        g = math.gcd(*system.roots, *system.certificates)
+        if g > 1:
+            report = Report(False, report.violations + (Violation(
+                None, "not-reduced",
+                f"roots and certificates share the factor {g}"),))
     print(report)
     return 0 if report.ok else 1
 

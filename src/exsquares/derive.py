@@ -12,7 +12,7 @@ pipeline was found:
 
 * fermat_square: choose a parameter ratio making a quartic (the
   residual's discriminant) a perfect square, by matching it against the
-  square of a quadratic from either end;
+  square of a quadratic from the constant end;
 * solve_quadratic: take a root directly when the discriminant is an
   exact square (or the leading coefficient vanishes, leaving a linear
   equation);
@@ -46,7 +46,7 @@ class NoRationalRootError(DomainError):
 
 
 class UnsupportedQuarticError(DomainError):
-    """Fermat matching needs the end coefficient to be a nonzero square."""
+    """Fermat matching needs the constant term to be a nonzero square."""
 
 
 class IdenticallySquareError(DomainError):
@@ -263,41 +263,27 @@ def vieta_second_root(form: QuadraticForm, known):
     return normalize_projective(u1, v1)
 
 
-def fermat_square(quartic: Poly, end: str = "lead") -> Fraction:
+def fermat_square(quartic: Poly) -> Fraction:
     """A rational point where the quartic's value is a perfect square.
 
     Matches the quartic against (q(x))^2 for a quadratic q fixed from
-    one end: end="lead" matches the x^4 and x^3 and x^2 coefficients
-    (needs square leading coefficient), end="const" matches the x^0,
-    x^1, x^2 coefficients (needs square constant term).  What is left
-    over is linear (times a power of x); its root is returned.  The
-    quartic is a Poly in x, as discriminant returns for a residual in a
-    symbolic pair (x : 1).
+    the constant end: its x^0, x^1 and x^2 coefficients (the constant
+    term must be a nonzero rational square).  What is left over is x^3
+    times a linear form; its root is returned.  The quartic is a Poly in
+    x, as discriminant returns for a residual in a symbolic pair (x : 1).
     """
     if quartic.degree > 4 or quartic.degree < 0:
         raise DomainError("fermat_square expects degree <= 4")
     c = list(quartic.coeffs) + [Fraction(0)] * (5 - len(quartic.coeffs))
     c0, c1, c2, c3, c4 = c
-    if end == "lead":
-        anchor = c4
-    elif end == "const":
-        anchor = c0
-    else:
-        raise DomainError("end must be 'lead' or 'const'")
-    g = rational_sqrt(anchor)
+    g = rational_sqrt(c0)
     if g is None or g == 0:
         raise UnsupportedQuarticError(
-            f"{end} coefficient {anchor} is not a nonzero rational square")
-    if end == "lead":
-        b = c3 / (2 * g)
-        h = (c2 - b * b) / (2 * g)
-        den = c1 - 2 * b * h
-        num = h * h - c0
-    else:
-        b = c1 / (2 * g)
-        h = (c2 - b * b) / (2 * g)
-        den = c4 - h * h
-        num = 2 * h * b - c3
+            f"const coefficient {c0} is not a nonzero rational square")
+    b = c1 / (2 * g)
+    h = (c2 - b * b) / (2 * g)
+    den = c4 - h * h
+    num = 2 * h * b - c3
     if den == 0:
         if num == 0:
             raise IdenticallySquareError("quartic is already a square")
@@ -415,7 +401,7 @@ def derive_n5(q1: int, q2: int):
     """
     form_p = residual(ASSIGN_N5, (_W, (q1, q2), _HOLE), unknown=2)
     quartic = discriminant(form_p)
-    w = fermat_square(quartic, end="const")
+    w = fermat_square(quartic)
     p = normalize_projective(w.numerator, w.denominator)
     form_r = residual(ASSIGN_N5, (p, (q1, q2), _HOLE), unknown=2)
     return {"p": p, "r": solve_quadratic(form_r)}
@@ -430,7 +416,7 @@ def derive_n6(p1: int, p2: int):
     p = (p1, p2)
     form_r = residual(ASSIGN_N6, (p, p, _W, _HOLE), unknown=3)
     quartic = discriminant(form_r)
-    w = fermat_square(quartic, end="const")
+    w = fermat_square(quartic)
     r = normalize_projective(w.numerator, w.denominator)
     form_s = residual(ASSIGN_N6, (p, p, r, _HOLE), unknown=3)
     s_roots = solve_quadratic(form_s)

@@ -32,16 +32,6 @@ def is_perfect_square(v: int) -> bool:
     return r * r == v
 
 
-def sqrt_exact(v: int) -> int:
-    """Exact square root of a perfect square; DomainError otherwise."""
-    if v < 0:
-        raise DomainError(f"square root of negative value {v}")
-    r = math.isqrt(v)
-    if r * r != v:
-        raise DomainError(f"{v} is not a perfect square")
-    return r
-
-
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None if it is not a square.
 

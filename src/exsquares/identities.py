@@ -17,15 +17,6 @@ ring operations are used.
 from __future__ import annotations
 
 
-def compose(u1, u2, v1, v2):
-    """Both two-square representations of (u1^2+u2^2)(v1^2+v2^2).
-
-    Returns ((u1*v1 - u2*v2, u1*v2 + u2*v1), (u1*v1 + u2*v2, u1*v2 - u2*v1)).
-    """
-    return ((u1 * v1 - u2 * v2, u1 * v2 + u2 * v1),
-            (u1 * v1 + u2 * v2, u1 * v2 - u2 * v1))
-
-
 def phi(f1, f2, g1, g2, h1, h2):
     """Three-factor generator pair (phi1, phi2) = f * conj(g) * h.
 

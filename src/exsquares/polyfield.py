@@ -1,15 +1,12 @@
-"""Exact polynomial arithmetic, no larger than its two users need.
+"""Exact univariate polynomial arithmetic, no larger than its users need.
 
-* ``Poly``: dense, low-degree-first tuple of Fractions with ring
-  operations, powers and evaluation.  The method-2 derivations run the
-  residual over ``Poly`` in one dehomogenized parameter (second
-  variable set to 1) to get the discriminant quartic that Fermat
-  matching works on; seeds evaluated at ``X`` give the method-1 family
-  as polynomials in t.
-* ``HomogPoly``: a homogeneous bivariate form kept as its coefficient
-  tuple (c_0, ..., c_n) with value sum(c_j * u**(n-j) * v**j).  This is
-  the notation the published coefficient tables use, so the catalog
-  stores it verbatim and evaluates it with ``homog_eval``.
+``Poly`` is a dense, low-degree-first tuple of Fractions with ring
+operations, powers and evaluation.  The method-2 derivations run the
+residual over ``Poly`` in one dehomogenized parameter (second variable
+set to 1) to get the discriminant quartic that Fermat matching works
+on; seeds evaluated at ``X`` give the method-1 family as polynomials
+in t.  The catalog's coefficient tuples are plain ints, parsed and
+evaluated in :mod:`exsquares.catalog`.
 """
 
 from __future__ import annotations
@@ -137,55 +134,3 @@ class Poly:
 
 
 X = Poly([0, 1])
-
-
-class HomogPoly:
-    """Homogeneous bivariate form as the coefficient tuple (c_0..c_n).
-
-    Value at (u, v) is sum(c_j * u**(n-j) * v**j): c_0 multiplies the
-    highest power of the first variable.
-    """
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, coeffs):
-        cs = tuple(int(c) for c in coeffs)
-        if not cs:
-            raise DomainError("empty coefficient tuple")
-        object.__setattr__(self, "degree", len(cs) - 1)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogPoly is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"HomogPoly({list(self.coeffs)!r})"
-
-    @classmethod
-    def parse(cls, text):
-        body = text.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise DomainError(f"not a parenthesized tuple: {text!r}")
-        parts = body[1:-1].split(",")
-        try:
-            return cls(int(p.strip()) for p in parts)
-        except ValueError as exc:
-            raise DomainError(f"bad tuple entry in {text!r}") from exc
-
-
-def homog_eval(p: HomogPoly, u, v):
-    """sum(c_j * u**(n-j) * v**j), Horner in u with running powers of v."""
-    acc = p.coeffs[0]
-    vp = 1
-    for c in p.coeffs[1:]:
-        vp = vp * v
-        acc = acc * u + c * vp
-    return acc

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import DomainError, is_perfect_square, isqrt
+from .exactmath import is_perfect_square
 from .seeds import ChainSolution, SquareSystem
 
 
@@ -103,18 +103,3 @@ def validate_system(sys: SquareSystem, require_distinct: bool = True) -> Report:
                 seen[key] = i
     return _report(out)
 
-
-def chain_from_system(sys: SquareSystem) -> ChainSolution:
-    """Backward direction: recover certificates from the roots alone.
-
-    Fails if some exclusion sum is not a perfect square.
-    """
-    total = sum(r * r for r in sys.roots)
-    pairs = []
-    for i, r in enumerate(sys.roots, start=1):
-        excl = total - r * r
-        if not is_perfect_square(excl):
-            raise DomainError(
-                f"exclusion sum {excl} at entry {i} is not a perfect square")
-        pairs.append((abs(r), isqrt(excl)))
-    return ChainSolution(len(pairs), tuple(pairs), total)

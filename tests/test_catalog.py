@@ -1,13 +1,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M2_N5_12, M2_N6_12
 from exsquares.exactmath import DomainError
-from exsquares.polyfield import HomogPoly
+from exsquares.polyfield import Poly
 from exsquares.seeds import DegenerateParameterError
-from exsquares.catalog import (UnknownFamilyError, _parse_blocks, cross_check,
-                               eval_family, get_family, list_families)
+from exsquares.catalog import (UnknownFamilyError, _eval_form, _parse_blocks,
+                               _parse_tuple, cross_check, eval_family,
+                               get_family, list_families)
 from exsquares.verify import validate_system
 
 IDS = ["n5-method1-deg17", "n5-method2-deg10", "n5-method2-deg30",
@@ -25,7 +27,9 @@ def test_listing_contains_the_published_records():
 def test_record_metadata():
     rec = get_family("n6-method2-deg38")
     assert (rec.n, rec.kind) == (6, "pq")
-    assert all(isinstance(e, HomogPoly) for e in rec.entries)
+    assert all(isinstance(e, tuple) and len(e) == rec.degree + 1
+               for e in rec.entries)
+    assert all(isinstance(c, int) for e in rec.entries for c in e)
     assert rec.certificates is None
     ten = get_family("n5-method2-deg10")
     assert ten.certificates is not None and len(ten.certificates) == 5
@@ -67,6 +71,13 @@ def test_eval_rejects_degenerate_points():
         eval_family("n6-method2-deg38", (0, 0))
 
 
+def test_pq_family_rejects_anything_but_a_pair():
+    with pytest.raises(DomainError, match="takes a parameter pair"):
+        eval_family("n5-method2-deg30", 2)
+    with pytest.raises(DomainError, match="takes a parameter pair"):
+        eval_family("n5-method2-deg30", (1, 2, 3))
+
+
 def test_cross_check_every_family():
     for fid in IDS:
         report = cross_check(fid)
@@ -100,4 +111,36 @@ def test_parser_reads_comments_and_blanks():
     text = "# note\n\nf 2 1 pq\n(1, 0)\n(0, 1)\n\n"
     records = _parse_blocks(text)
     assert list(records) == ["f"]
-    assert records["f"].entries == (HomogPoly((1, 0)), HomogPoly((0, 1)))
+    assert records["f"].entries == ((1, 0), (0, 1))
+
+
+def test_tuple_text_parse_round_trip():
+    cs = _parse_tuple(" (1, -2, 0,7) ")
+    assert cs == (1, -2, 0, 7)
+    assert str(cs) == "(1, -2, 0, 7)"
+    assert _parse_tuple(str(cs)) == cs
+    with pytest.raises(DomainError, match="not a parenthesized tuple"):
+        _parse_tuple("1, 2")
+    with pytest.raises(DomainError, match="bad tuple entry"):
+        _parse_tuple("(1, x)")
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1,
+                max_size=7),
+       st.integers(min_value=-9, max_value=9).filter(bool),
+       st.integers(min_value=-20, max_value=20),
+       st.integers(min_value=-20, max_value=20))
+@settings(max_examples=150)
+def test_eval_form_is_homogeneous(cs, lam, u, v):
+    d = len(cs) - 1
+    assert _eval_form(cs, lam * u, lam * v) == lam ** d * _eval_form(cs, u, v)
+
+
+def test_eval_form_agrees_with_poly():
+    # at v = 1 the form is the Poly in u with the tuple reversed
+    cs = (2, 0, -3, 5)
+    p = Poly(reversed(cs))
+    assert p == Poly([5, -3, 0, 2])
+    assert tuple(reversed(p.coeffs)) == cs
+    for t in range(-4, 5):
+        assert _eval_form(cs, t, 1) == p(t)

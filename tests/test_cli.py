@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
 from exsquares.cli import _pool_size, system_from_json, system_to_json
 from exsquares.seeds import SquareSystem, lemma3_special
@@ -88,6 +90,21 @@ def test_verify_malformed_json_exits_3():
     assert run("verify", stdin='{"n": 5}').returncode == 3
 
 
+def test_verify_checks_the_reduced_claim():
+    gen = run("gen", "--n", "5", "--method", "1", "--t", "2")
+    assert run("verify", stdin=gen.stdout).returncode == 0
+    obj = json.loads(gen.stdout)
+    obj["roots"] = [str(3 * int(r)) for r in obj["roots"]]
+    obj["certificates"] = [str(3 * int(c)) for c in obj["certificates"]]
+    obj["s"] = str(9 * int(obj["s"]))
+    scaled = run("verify", stdin=json.dumps(obj))
+    assert scaled.returncode == 1
+    assert scaled.stdout == \
+        "[not-reduced] global: roots and certificates share the factor 3\n"
+    del obj["reduced"]  # no claim, nothing to check
+    assert run("verify", stdin=json.dumps(obj)).returncode == 0
+
+
 def test_verify_allow_repeats():
     system = SquareSystem.from_pairs(lemma3_special(2, 3).pairs)
     text = system_to_json(system)
@@ -141,6 +158,45 @@ def test_catalog_eval_past_the_digit_limit_exits_3():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+# one invocation per failure kind; FILE is a path that holds the given
+# text, or that does not exist when the text is None
+BAD_INPUTS = [
+    pytest.param(["gen", "--n", "5", "--method", "2", "--params", "0,0"],
+                 None, 2, id="gen-zero-pair"),
+    pytest.param(["gen", "--n", "5", "--method", "1"], None, 2,
+                 id="gen-missing-t"),
+    pytest.param(["verify", "FILE"], "[]", 3, id="verify-not-an-object"),
+    pytest.param(["verify", "FILE"], "{oops", 3, id="verify-corrupt-json"),
+    pytest.param(["verify", "FILE"], None, 3, id="verify-missing-file"),
+    pytest.param(["catalog", "eval", "no-such-id", "--t", "2"], None, 2,
+                 id="catalog-unknown-id"),
+    pytest.param(["catalog", "eval", "n5-method2-deg30", "--t", "2"], None, 2,
+                 id="catalog-pq-given-t"),
+    pytest.param(["catalog", "eval", "n5-method1-deg17", "--params", "1,2"],
+                 None, 2, id="catalog-t-given-pair"),
+    pytest.param(["catalog", "cross-check", "no-such-id"], None, 2,
+                 id="cross-check-unknown-id"),
+    pytest.param(["sweep", "--n", "5", "--method", "2"], None, 2,
+                 id="sweep-missing-max-sum"),
+    pytest.param(["sweep", "--n", "5", "--method", "1", "--t-range", "9"],
+                 None, 2, id="sweep-bad-range"),
+    pytest.param(["gen", "--n", "5", "--method", "1",
+                  "--t", str(10 ** 300 + 7)], None, 3, id="gen-huge-t"),
+]
+
+
+@pytest.mark.parametrize("argv, file_text, code", BAD_INPUTS)
+def test_bad_input_exits_2_or_3_without_a_traceback(tmp_path, argv,
+                                                     file_text, code):
+    path = tmp_path / "system.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    proc = run(*[str(path) if a == "FILE" else a for a in argv])
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_sweep_method1_range_is_inclusive_and_verified():

@@ -164,16 +164,16 @@ def test_normalize_projective():
 # --- Fermat square matching ------------------------------------------------
 
 def test_fermat_known_roots():
-    # (x^2+1)^2 + (x-3): matching from the leading end finds x = 3
-    lead = X ** 4 + 2 * X * X + X - Poly([2])
-    r = fermat_square(lead, end="lead")
-    assert r == 3
-    assert lead(r) == 100
     # (3x+1)^2 + x^3 (x-5): matching from the constant end finds x = 5
     const = X ** 4 - 5 * X ** 3 + 9 * X * X + 6 * X + Poly([1])
-    r = fermat_square(const, end="const")
+    r = fermat_square(const)
     assert r == 5
     assert const(r) == 256
+    # (x^2-2x+2)^2 + x^3 (3x-1) = 4x^4 - 5x^3 + 8x^2 - 8x + 4: x = 1/3
+    other = Poly([4, -8, 8, -5, 4])
+    r = fermat_square(other)
+    assert r == Fraction(1, 3)
+    assert rational_sqrt(other(r)) == Fraction(13, 9)
 
 
 def test_fermat_result_is_always_a_square_value():
@@ -181,10 +181,10 @@ def test_fermat_result_is_always_a_square_value():
     found = 0
     for _ in range(300):
         g = rng.randint(1, 5)
-        cs = [rng.randint(-9, 9) for _ in range(4)] + [g * g]
+        cs = [g * g] + [rng.randint(-9, 9) for _ in range(4)]
         quartic = Poly(cs)
         try:
-            r = fermat_square(quartic, end="lead")
+            r = fermat_square(quartic)
         except (IdenticallySquareError, NoFermatRootError):
             continue
         assert rational_sqrt(quartic(r)) is not None
@@ -193,19 +193,19 @@ def test_fermat_result_is_always_a_square_value():
 
 
 def test_fermat_rejects_non_square_anchor():
+    with pytest.raises(UnsupportedQuarticError,
+                       match="const coefficient 3 is not a nonzero"):
+        fermat_square(X ** 4 + X + Poly([3]))
     with pytest.raises(UnsupportedQuarticError):
-        fermat_square(2 * X ** 4 + X + Poly([1]), end="lead")
-    with pytest.raises(UnsupportedQuarticError):
-        fermat_square(X ** 4 + X + Poly([3]), end="const")
+        fermat_square(X ** 4 + X)  # zero constant term
 
 
 def test_fermat_degenerate_cases():
     square = (X * X + 3 * X + Poly([2])) ** 2
-    for end in ("lead", "const"):
-        with pytest.raises(IdenticallySquareError):
-            fermat_square(square, end=end)
+    with pytest.raises(IdenticallySquareError):
+        fermat_square(square)
     with pytest.raises(NoFermatRootError):
-        fermat_square(Poly([1, 2, 5, 0, 4]), end="const")
+        fermat_square(Poly([1, 2, 5, 0, 4]))
 
 
 # --- closed-form re-derivation over the grid -------------------------------

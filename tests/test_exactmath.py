@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exsquares.exactmath import (DomainError, is_perfect_square, isqrt,
-                                 rational_sqrt, sqrt_exact, vec_gcd)
+                                 rational_sqrt, vec_gcd)
 
 BIG = 10 ** 90 + 12345  # ~600 bits once squared
 
@@ -40,14 +40,6 @@ def test_is_perfect_square():
     assert not is_perfect_square(2)
     assert not is_perfect_square(BIG * BIG - 1)
     assert not is_perfect_square(-9)
-
-
-def test_sqrt_exact():
-    assert sqrt_exact(BIG * BIG) == BIG
-    with pytest.raises(DomainError):
-        sqrt_exact(BIG * BIG + 1)
-    with pytest.raises(DomainError):
-        sqrt_exact(-1)
 
 
 def test_rational_sqrt():

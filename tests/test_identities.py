@@ -4,27 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from exsquares.identities import (CHAIN4_FLIPS, CHAIN8_FLIPS, chain4,
                                   chain4_norm, chain8, chain8_norm,
-                                  compose, pair_norm, phi, psi)
+                                  pair_norm, phi, psi)
 from exsquares.polyfield import Poly, X
 
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 pairs = st.tuples(ints, ints)
-
-
-def test_compose_small_example():
-    # 25 = (1+4)(4+1) = 0^2+5^2 = 4^2+3^2
-    first, second = compose(1, 2, 2, 1)
-    assert first == (0, 5)
-    assert second == (4, -3)
-    assert pair_norm(first) == pair_norm(second) == 25
-
-
-@given(ints, ints, ints, ints)
-@settings(max_examples=250)
-def test_compose_norms_multiply(u1, u2, v1, v2):
-    target = (u1 * u1 + u2 * u2) * (v1 * v1 + v2 * v2)
-    for pair in compose(u1, u2, v1, v2):
-        assert pair_norm(pair) == target
 
 
 @given(pairs, pairs, pairs)
@@ -76,8 +60,9 @@ def test_generic_scalars():
     # Fractions
     f = (Fraction(1, 2), Fraction(1, 3))
     g = (Fraction(2), Fraction(5, 7))
-    for pair in compose(*f, *g):
-        assert pair_norm(pair) == pair_norm(f) * pair_norm(g)
+    h = (Fraction(-3, 4), Fraction(1))
+    assert pair_norm(phi(*f, *g, *h)) == \
+        pair_norm(f) * pair_norm(g) * pair_norm(h)
     # polynomials
     p = (X, Poly([1, 1]))
     q = (Poly([2]), X * X)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from exsquares.polyfield import HomogPoly, Poly, X, homog_eval
+from exsquares.polyfield import Poly, X
 
 coeff = st.integers(min_value=-50, max_value=50)
 polys = st.lists(coeff, min_size=1, max_size=6).map(Poly)
@@ -31,31 +31,3 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == Poly([0])
-
-
-def test_homog_text_parse_round_trip():
-    h = HomogPoly.parse(" (1, -2, 0,7) ")
-    assert h == HomogPoly((1, -2, 0, 7))
-    assert str(h.coeffs) == "(1, -2, 0, 7)"
-    assert HomogPoly.parse(str(h.coeffs)) == h
-
-
-@given(st.lists(coeff, min_size=1, max_size=7),
-       st.integers(min_value=-9, max_value=9).filter(bool),
-       st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=-20, max_value=20))
-@settings(max_examples=150)
-def test_homog_eval_is_homogeneous(cs, lam, u, v):
-    h = HomogPoly(tuple(cs))
-    d = len(cs) - 1
-    assert homog_eval(h, lam * u, lam * v) == lam ** d * homog_eval(h, u, v)
-
-
-def test_homog_round_trips_with_poly():
-    # at v = 1 the form is the Poly in u with the tuple reversed
-    h = HomogPoly((2, 0, -3, 5))
-    p = Poly(reversed(h.coeffs))
-    assert p == Poly([5, -3, 0, 2])
-    assert HomogPoly(reversed(p.coeffs)) == h
-    for t in range(-4, 5):
-        assert homog_eval(h, t, 1) == p(t)

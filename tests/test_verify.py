@@ -1,10 +1,7 @@
-import pytest
-
-from exsquares.exactmath import DomainError
 from exsquares.seeds import ChainSolution, SquareSystem, lemma3_special
 from exsquares.derive import pipeline_n5
-from exsquares.verify import (Report, Violation, chain_from_system,
-                              validate_chain, validate_system)
+from exsquares.verify import (Report, Violation, validate_chain,
+                              validate_system)
 
 
 def test_valid_chain_passes():
@@ -85,15 +82,6 @@ def test_system_chain_round_trip():
     chain = lemma3_special(3, 2)
     system = SquareSystem.from_pairs(chain.pairs)
     assert system.roots == tuple(abs(x) for x in chain.xs)
-    back = chain_from_system(system)
-    assert validate_chain(back).ok
-    assert SquareSystem.from_pairs(back.pairs) == system
-
-
-def test_chain_from_corrupt_system_raises():
-    bad = SquareSystem(3, (1, 2, 3), (1, 1, 1), 14)
-    with pytest.raises(DomainError):
-        chain_from_system(bad)
 
 
 def test_violation_formatting():
