@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import catalog
@@ -41,16 +40,32 @@ def system_to_json(system: SquareSystem) -> str:
     })
 
 
-def system_from_json(text: str) -> SquareSystem:
-    obj = json.loads(text)
+def _json_int(value) -> int:
+    """A JSON integer (not true/false) or a string."""
+    if type(value) not in (int, str):
+        raise TypeError(f"expected an integer or a string, got {value!r:.40}")
+    return int(value)
+
+
+def _json_ints(values) -> tuple:
+    """An array of _json_int values."""
+    if type(values) is not list or not set(map(type, values)) <= {int, str}:
+        raise TypeError(f"expected an array of integers or strings, "
+                        f"got {values!r:.40}")
+    return tuple(map(int, values))
+
+
+def _system_from_obj(obj) -> SquareSystem:
     try:
-        n = int(obj["n"])
-        roots = tuple(int(r) for r in obj["roots"])
-        certs = tuple(int(c) for c in obj["certificates"])
-        s = int(obj["s"])
+        return SquareSystem(_json_int(obj["n"]), _json_ints(obj["roots"]),
+                            _json_ints(obj["certificates"]),
+                            _json_int(obj["s"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a system object: {exc}") from exc
-    return SquareSystem(n, roots, certs, s)
+
+
+def system_from_json(text: str) -> SquareSystem:
+    return _system_from_obj(json.loads(text))
 
 
 def _parse_pair(text: str):
@@ -109,10 +124,11 @@ def cmd_verify(args) -> int:
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    system = system_from_json(text)
+    obj = json.loads(text)
+    system = _system_from_obj(obj)
     report = validate_system(system,
                              require_distinct=not args.allow_repeats)
-    if json.loads(text).get("reduced") is True:
+    if obj.get("reduced") is True:
         g = math.gcd(*system.roots, *system.certificates)
         if g > 1:
             report = Report(False, report.violations + (Violation(
@@ -143,62 +159,34 @@ def cmd_catalog(args) -> int:
 
 
 def _sweep_points(args):
-    """Deterministic list of (n, method, point) work items."""
+    """The sweep's points in a fixed order, produced lazily: t for
+    method 1, coprime (p1, p2) for method 2. A missing flag raises at
+    once, before any output."""
     if args.method == 1:
         if args.t_range is None:
             raise DomainError("method 1 sweeps need --t-range LO:HI")
         lo, hi = args.t_range
-        return [(args.n, 1, t) for t in range(lo, hi + 1)]
+        return range(lo, hi + 1)
     if args.max_sum is None:
         raise DomainError("method 2 sweeps need --max-sum N")
-    points = []
-    for total in range(2, args.max_sum + 1):
-        for p1 in range(1, total):
-            p2 = total - p1
-            if math.gcd(p1, p2) == 1:
-                points.append((args.n, 2, (p1, p2)))
-    return points
-
-
-def _sweep_worker(item):
-    n, method, point = item
-    try:
-        if method == 1:
-            system = _generate(n, 1, point, None)
-        else:
-            system = _generate(n, 2, None, point)
-    except DomainError as exc:
-        return ("skip", f"skipped {point}: {exc}")
-    report = validate_system(system)
-    if not report.ok:
-        return ("fail", f"validation failed at {point}: {report}")
-    return ("ok", system_to_json(system))
-
-
-def _pool_size(jobs: int, points: int, cpus: int | None) -> int:
-    """Workers for a sweep: no more than were asked for, than there are
-    CPUs, or than there are points."""
-    return min(jobs, cpus or 1, points)
+    return ((p1, total - p1) for total in range(2, args.max_sum + 1)
+            for p1 in range(1, total) if math.gcd(p1, total - p1) == 1)
 
 
 def cmd_sweep(args) -> int:
-    points = _sweep_points(args)
-    workers = _pool_size(args.jobs, len(points), os.cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, points))
-    else:
-        results = [_sweep_worker(item) for item in points]
-    # results arrive in point order whatever the worker count
     failed = False
-    for status, payload in results:
-        if status == "ok":
-            print(payload)
-        elif status == "skip":
-            print(payload, file=sys.stderr)
+    for point in _sweep_points(args):
+        t, params = (point, None) if args.method == 1 else (None, point)
+        try:
+            system = _generate(args.n, args.method, t, params)
+        except DomainError as exc:
+            print(f"skipped {point}: {exc}", file=sys.stderr)
+            continue
+        report = validate_system(system)
+        if report.ok:
+            print(system_to_json(system))
         else:
-            print(payload, file=sys.stderr)
+            print(f"validation failed at {point}: {report}", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 
@@ -242,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-sum", type=int,
                        help="method 2: all coprime pairs with p1+p2 <= N")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers (output order is unchanged)")
+                       help="accepted and ignored: sweeps run in one process")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
-from exsquares.cli import _pool_size, system_from_json, system_to_json
+from exsquares import cli
+from exsquares.cli import system_from_json, system_to_json
+from exsquares.evolve import generate_method1
 from exsquares.seeds import SquareSystem, lemma3_special
 from exsquares.verify import validate_system
 
@@ -160,6 +162,14 @@ def test_catalog_eval_past_the_digit_limit_exits_3():
     assert len(proc.stderr.splitlines()) == 1
 
 
+_M1_N5_T2_OBJ = json.loads(system_to_json(generate_method1(5, 2)))
+
+
+def _edited(**fields):
+    """gen --n 5 --method 1 --t 2 as JSON, with the given fields replaced."""
+    return json.dumps({**_M1_N5_T2_OBJ, **fields})
+
+
 # one invocation per failure kind; FILE is a path that holds the given
 # text, or that does not exist when the text is None
 BAD_INPUTS = [
@@ -170,6 +180,13 @@ BAD_INPUTS = [
     pytest.param(["verify", "FILE"], "[]", 3, id="verify-not-an-object"),
     pytest.param(["verify", "FILE"], "{oops", 3, id="verify-corrupt-json"),
     pytest.param(["verify", "FILE"], None, 3, id="verify-missing-file"),
+    pytest.param(["verify", "FILE"],
+                 _edited(roots=[461523666596.5, *_M1_N5_T2_OBJ["roots"][1:]]),
+                 3, id="verify-float-root"),
+    pytest.param(["verify", "FILE"], _edited(n=5.9), 3, id="verify-float-n"),
+    pytest.param(["verify", "FILE"], _edited(roots="345"), 3,
+                 id="verify-roots-not-an-array"),
+    pytest.param(["verify", "FILE"], _edited(n=True), 3, id="verify-bool-n"),
     pytest.param(["catalog", "eval", "no-such-id", "--t", "2"], None, 2,
                  id="catalog-unknown-id"),
     pytest.param(["catalog", "eval", "n5-method2-deg30", "--t", "2"], None, 2,
@@ -224,6 +241,7 @@ def test_sweep_empty_range():
 
 
 def test_sweep_deterministic_across_worker_counts():
+    # --jobs is accepted and ignored: it must change nothing
     one = run("sweep", "--n", "5", "--method", "2", "--max-sum", "8")
     four = run("sweep", "--n", "5", "--method", "2", "--max-sum", "8",
                "--jobs", "4")
@@ -231,31 +249,31 @@ def test_sweep_deterministic_across_worker_counts():
     assert one.stdout  # not vacuous
 
 
-def test_sweep_pool_matches_serial_whatever_the_cpu_count():
-    # The pool is clamped to the CPU count, so on a one-CPU host the test
-    # above never starts one; pretend there are two to run the pool path.
-    argv = ["sweep", "--n", "5", "--method", "2", "--max-sum", "8"]
-    code = ("import os, sys; os.cpu_count = lambda: 2; "
-            "from exsquares.cli import main; "
-            f"sys.exit(main({argv + ['--jobs', '2']!r}))")
-    pooled = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
-    assert pooled.returncode == 0
-    assert pooled.stdout == run(*argv).stdout
-    assert pooled.stdout  # not vacuous
-
-
 def test_sweep_flag_mismatch_exits_2():
     assert run("sweep", "--n", "5", "--method", "1").returncode == 2
     assert run("sweep", "--n", "5", "--method", "2").returncode == 2
 
 
-def test_pool_size_is_bounded_by_cpus_and_points():
-    assert _pool_size(10 ** 6, 50, 2) == 2
-    assert _pool_size(10 ** 6, 3, 64) == 3
-    assert _pool_size(4, 50, None) == 1
-    assert _pool_size(1, 50, 8) == 1
-    assert _pool_size(0, 50, 8) == 0
+def test_sweep_streams_lines_before_a_later_failure(monkeypatch, capsys):
+    # a point that fails with something other than DomainError (say the
+    # int<->str digit limit) ends the sweep, but the lines already
+    # printed stay on stdout
+    generate = cli._generate
+
+    def third_point_fails(n, method, t, params):
+        if t == 4:
+            raise ValueError("planted failure")
+        return generate(n, method, t, params)
+
+    monkeypatch.setattr(cli, "_generate", third_point_fails)
+    code = cli.main(["sweep", "--n", "5", "--method", "1", "--t-range", "2:6"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert validate_system(system_from_json(line)).ok
+    assert err == "error: planted failure\n"
 
 
 def test_cli_import_leaves_the_pool_unloaded():
