@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import catalog
@@ -242,7 +243,14 @@ def main(argv=None) -> int:
             and args.id is None:
         parser.error(f"catalog {args.action} needs a family id")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (sweep ... | head).  Point stdout at
+        # devnull so that the flush at shutdown does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as exc:  # ValueError: parse, int<->str limit
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 3

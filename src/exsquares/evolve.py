@@ -11,6 +11,11 @@ preserves the chain conditions but changes P, so flipping half of each
 identical block before transforming splits the block.  Repeating the
 round halves every block until all entries differ.
 
+Pairs that agree up to the sign of x form one (+-x, y) class, and a
+halving round leaves whole blocks of such pairs, so transform and
+coefficients compute each class's products once (_classes) and give
+every pair of the class its image or its share of P and S.
+
 transform, inverse_transform and flip are generic over the scalar type;
 distinctify and generate_method1 run the rounds on integers (each round
 ends in reduce_chain, which keeps the signs) and return
@@ -52,20 +57,54 @@ class TransformCoefficients:
     S: object
 
 
-def coefficients(sol: ChainSolution) -> TransformCoefficients:
+def _classes(pairs) -> dict:
+    """Each distinct (+-x, y) class, keyed by its first pair (x, y), with
+    the number of pairs equal to (x, y) and to (-x, y).
+
+    Pairs of one class share the products a*|x|, b*|x|, a*y, b*y of the
+    transform, and x*x and x*y up to sign, so each class is multiplied
+    out once.  No sign is compared, so the scalars may be polynomials.
+    """
+    classes = {}
+    for x, y in pairs:
+        counts = classes.get((x, y))
+        if counts is not None:
+            counts[0] += 1
+            continue
+        counts = classes.get((-x, y))
+        if counts is not None:
+            counts[1] += 1
+        else:
+            classes[(x, y)] = [1, 0]
+    return classes
+
+
+def _coefficients(classes: dict) -> TransformCoefficients:
     p = s = 0
-    for x, y in sol.pairs:
-        p = p + x * y
-        s = s + x * x
+    for (x, y), (same, mirrored) in classes.items():
+        if same != mirrored:
+            p = p + (same - mirrored) * (x * y)
+        s = s + (same + mirrored) * (x * x)
     return TransformCoefficients(P=p, S=s)
 
 
+def coefficients(sol: ChainSolution) -> TransformCoefficients:
+    """P = sum(x_i * y_i) and S = sum(x_i ** 2), summed per class."""
+    return _coefficients(_classes(sol.pairs))
+
+
 def transform(sol: ChainSolution) -> ChainSolution:
-    co = coefficients(sol)
+    classes = _classes(sol.pairs)
+    co = _coefficients(classes)
     a = (sol.n - 2) * co.S
     b = 2 * co.P
-    return ChainSolution.from_pairs(
-        (a * x - b * y, b * x + a * y) for x, y in sol.pairs)
+    images = {}
+    for (x, y), (_, mirrored) in classes.items():
+        ax, bx, ay, by = a * x, b * x, a * y, b * y
+        images[(x, y)] = (ax - by, bx + ay)
+        if mirrored:
+            images[(-x, y)] = (-ax - by, ay - bx)
+    return ChainSolution.from_pairs(images[pair] for pair in sol.pairs)
 
 
 def _exact_div(v, d):

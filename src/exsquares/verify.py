@@ -4,9 +4,14 @@ Everything here recomputes the claimed properties from raw values using
 only integer squaring and exact integer square roots, so it shares no
 machinery with the construction modules it is used to check.
 
+validate_system tests each certificate first: c^2 equal to the
+exclusion sum already proves that sum a square, so isqrt runs only on a
+mismatch, to tell a non-square sum from a wrong certificate.
+
 Reports are structured: each violated condition is listed with the
 entry index (1-based) and the recomputed values, so a failure pinpoints
-the exact digit-level discrepancy instead of a bare boolean.
+the exact digit-level discrepancy instead of a bare boolean.  A value
+past the int->str digit limit is written as its bit length instead.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ class Report:
         return "; ".join(str(v) for v in self.violations)
 
 
+def _show(v) -> str:
+    """str(v), or a compact form for an int past the int->str digit limit."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"{'-' if v < 0 else ''}<{v.bit_length()}-bit integer>"
+
+
 def _report(violations) -> Report:
     violations = tuple(violations)
     return Report(not violations, violations)
@@ -55,12 +68,14 @@ def validate_chain(sol: ChainSolution) -> Report:
         v = x * x + y * y
         if v != sol.s:
             out.append(Violation(i, "pair-sum",
-                                 f"x^2+y^2 = {v}, expected s = {sol.s}"))
+                                 f"x^2+y^2 = {_show(v)}, "
+                                 f"expected s = {_show(sol.s)}"))
         sq = x * x
         total = sq if total is None else total + sq
     if total != sol.s:
         out.append(Violation(None, "square-sum",
-                             f"sum of x^2 = {total}, expected s = {sol.s}"))
+                             f"sum of x^2 = {_show(total)}, "
+                             f"expected s = {_show(sol.s)}"))
     return _report(out)
 
 
@@ -80,25 +95,32 @@ def validate_system(sys: SquareSystem, require_distinct: bool = True) -> Report:
     total = sum(r * r for r in sys.roots)
     if total != sys.s:
         out.append(Violation(None, "sum",
-                             f"sum of roots^2 = {total}, declared s = {sys.s}"))
+                             f"sum of roots^2 = {_show(total)}, "
+                             f"declared s = {_show(sys.s)}"))
     for i, (r, c) in enumerate(zip(sys.roots, sys.certificates), start=1):
         if r == 0:
             out.append(Violation(i, "zero-root", "root is zero"))
         excl = total - r * r
+        cc = c * c
+        if cc == excl:  # a square, with its certificate: nothing to report
+            continue
         if not is_perfect_square(excl):
             out.append(Violation(i, "exclusion-not-square",
-                                 f"excluding root {r} leaves {excl}"))
-        elif c * c != excl:
+                                 f"excluding root {_show(r)} leaves "
+                                 f"{_show(excl)}"))
+        else:
             out.append(Violation(i, "certificate",
-                                 f"certificate {c} squares to {c * c}, "
-                                 f"exclusion sum is {excl}"))
+                                 f"certificate {_show(c)} squares to "
+                                 f"{_show(cc)}, exclusion sum is "
+                                 f"{_show(excl)}"))
     if require_distinct:
         seen = {}
         for i, r in enumerate(sys.roots, start=1):
             key = abs(r)
             if key in seen:
                 out.append(Violation(i, "repeat",
-                                     f"|root| {key} repeats entry {seen[key]}"))
+                                     f"|root| {_show(key)} repeats entry "
+                                     f"{seen[key]}"))
             else:
                 seen[key] = i
     return _report(out)

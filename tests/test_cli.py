@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -274,6 +275,29 @@ def test_sweep_streams_lines_before_a_later_failure(monkeypatch, capsys):
     for line in lines:
         assert validate_system(system_from_json(line)).ok
     assert err == "error: planted failure\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("args, lines_read", [
+    (("sweep", "--n", "6", "--method", "1", "--t-range", "2:100000"), 1),
+    (("gen", "--n", "5", "--method", "1", "--t", "2"), 0),
+])
+def test_closed_pipe_exits_0_quietly(args, lines_read, unbuffered):
+    """cmd | head: the reader leaves early.  The command stops at its next
+    write or at the final flush, with no error line, no message at
+    shutdown and exit 0, whether or not stdout is buffered."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "exsquares.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    for line in lines:
+        assert validate_system(system_from_json(line)).ok
 
 
 def test_cli_import_leaves_the_pool_unloaded():

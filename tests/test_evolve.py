@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -67,6 +68,57 @@ def test_from_pairs_reduces_and_canonicalizes(data):
     assert min(entries) >= 0
     assert gcd(*entries) == 1
     assert validate_system(system, require_distinct=False).ok
+
+
+def _per_pair_transform(sol):
+    """Reference: P, S and every image computed pair by pair."""
+    p = sum(x * y for x, y in sol.pairs)
+    s = sum(x * x for x, _ in sol.pairs)
+    a, b = (sol.n - 2) * s, 2 * p
+    return (TransformCoefficients(P=p, S=s), ChainSolution.from_pairs(
+        (a * x - b * y, b * x + a * y) for x, y in sol.pairs))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_shared_products_equal_the_per_pair_reference(data):
+    """transform and coefficients multiply out each (+-x, y) class once;
+    on chains with repeated classes, random flips and zero entries they
+    must give what the per-pair formulas give."""
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(min_value=2, max_value=40))
+        sol = data.draw(st.sampled_from(_builders(t)))()
+        pairs = sol.pairs
+    else:  # arbitrary pairs, not chains: the transform is defined anyway
+        ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+        pool = data.draw(st.lists(st.tuples(ints | st.just(0), ints),
+                                  min_size=1, max_size=4))
+        pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=12))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)),
+                               min_size=len(pairs), max_size=len(pairs)))
+    sol = ChainSolution.from_pairs((e * x, y)
+                                   for e, (x, y) in zip(signs, pairs))
+    co, image = _per_pair_transform(sol)
+    assert coefficients(sol) == co
+    assert transform(sol) == image
+
+
+# sha256 of the hex roots, certificates and s of generate_method1(n, 2),
+# computed before the transform shared its products between pairs.
+M1_T2_DIGESTS = {
+    64: "57b887e4430cca75dd215c04a6c32b4118c957374a423c07bb0f84d3c840f6ff",
+    96: "e2440e9233ea69a4b36950e2f55178b4a59d21c20b61101edc48614bc230a1a7",
+    128: "f5f70410f03ea74805a6fcd841b2cf5adce53166101bbeab5a353de2c5a804ea",
+}
+
+
+@pytest.mark.parametrize("n", sorted(M1_T2_DIGESTS))
+def test_generate_method1_large_n_is_pinned(n):
+    system = generate_method1(n, 2)
+    text = " ".join(hex(v) for v in (*system.roots, *system.certificates,
+                                     system.s))
+    assert hashlib.sha256(text.encode()).hexdigest() == M1_T2_DIGESTS[n]
 
 
 def test_coefficients_are_the_two_weighted_sums():

@@ -1,3 +1,8 @@
+import sys
+
+import pytest
+
+from exsquares.evolve import generate_method1
 from exsquares.seeds import ChainSolution, SquareSystem, lemma3_special
 from exsquares.derive import pipeline_n5
 from exsquares.verify import (Report, Violation, validate_chain,
@@ -93,3 +98,117 @@ def test_violation_formatting():
     report = Report(False, (v, g))
     text = str(report)
     assert "entry 2" in text and "global" in text
+
+
+# A small valid system: 240^2 + 117^2 + 44^2 = 73225, and the three
+# exclusion sums are 125^2, 244^2 and 267^2.
+_N3 = SquareSystem(3, (240, 117, 44), (125, 244, 267), 73225)
+
+VIOLATION_TABLE = [
+    ("wrong-certificate-over-a-square",
+     SquareSystem(3, _N3.roots, (125, 244, 268), _N3.s), True,
+     [Violation(3, "certificate",
+                "certificate 268 squares to 71824, exclusion sum is 71289")]),
+    ("exclusion-not-square",
+     SquareSystem(3, (1, 2, 3), (1, 1, 1), 14), True,
+     [Violation(1, "exclusion-not-square", "excluding root 1 leaves 13"),
+      Violation(2, "exclusion-not-square", "excluding root 2 leaves 10"),
+      Violation(3, "exclusion-not-square", "excluding root 3 leaves 5")]),
+    ("declared-sum",
+     SquareSystem(3, _N3.roots, _N3.certificates, 73228), True,
+     [Violation(None, "sum", "sum of roots^2 = 73225, declared s = 73228")]),
+    ("zero-root",
+     SquareSystem(3, (0, 3, 4), (5, 4, 3), 25), True,
+     [Violation(1, "zero-root", "root is zero")]),
+    ("zero-root-then-certificate",
+     SquareSystem(3, (0, 3, 4), (5, 4, 4), 25), True,
+     [Violation(1, "zero-root", "root is zero"),
+      Violation(3, "certificate",
+                "certificate 4 squares to 16, exclusion sum is 9")]),
+    ("repeat",
+     SquareSystem.from_pairs(lemma3_special(2, 4).pairs), True,
+     [Violation(i, "repeat", "|root| 8 repeats entry 1") for i in (2, 3, 4)]),
+    ("repeat-allowed",
+     SquareSystem.from_pairs(lemma3_special(2, 4).pairs), False, []),
+    ("negative-certificates-validate",
+     SquareSystem(3, _N3.roots, (-125, 244, -267), _N3.s), True, []),
+]
+
+
+@pytest.mark.parametrize("system, require_distinct, violations",
+                         [case[1:] for case in VIOLATION_TABLE],
+                         ids=[case[0] for case in VIOLATION_TABLE])
+def test_report_per_violation_kind(system, require_distinct, violations):
+    """The whole Report (kinds, indices, texts and their order) per kind."""
+    assert validate_system(system, require_distinct) == \
+        Report(not violations, tuple(violations))
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin the int<->str digit limit at its default, 4300."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _compact(v):
+    return f"<{v.bit_length()}-bit integer>"
+
+
+def test_corrupt_root_past_the_digit_limit_gives_a_report(digit_limit):
+    system = generate_method1(48, 2)
+    roots = list(system.roots)
+    roots[0] += 1
+    report = validate_system(SquareSystem(system.n, tuple(roots),
+                                          system.certificates, system.s))
+    total = sum(r * r for r in roots)
+    assert report.violations[0] == Violation(
+        None, "sum",
+        f"sum of roots^2 = {_compact(total)}, "
+        f"declared s = {_compact(system.s)}")
+    # the corrupted entry's own exclusion sum is untouched; the others
+    # all grow by 2 * root + 1 and stop being squares
+    assert report.violations[1:] == tuple(
+        Violation(i, "exclusion-not-square",
+                  f"excluding root {r} leaves {_compact(total - r * r)}")
+        for i, r in enumerate(roots[1:], start=2))
+    assert str(report).count("-bit integer>") == 49
+
+
+def test_corrupt_certificate_past_the_digit_limit_gives_a_report(
+        digit_limit):
+    system = generate_method1(48, 2)
+    certs = list(system.certificates)
+    certs[5] += 1
+    report = validate_system(SquareSystem(system.n, system.roots,
+                                          tuple(certs), system.s))
+    c = certs[5]
+    excl = system.s - system.roots[5] ** 2
+    assert report == Report(False, (Violation(
+        6, "certificate",
+        f"certificate {c} squares to {_compact(c * c)}, "
+        f"exclusion sum is {_compact(excl)}"),))
+
+
+def test_negative_value_past_the_digit_limit_keeps_its_sign(digit_limit):
+    big = 2 ** 20000
+    c = -big - 1
+    bad = SquareSystem(2, (-big, 2), (2, c), big * big + 4)
+    assert validate_system(bad) == Report(False, (Violation(
+        2, "certificate",
+        f"certificate -{_compact(c)} squares to {_compact(c * c)}, "
+        f"exclusion sum is {_compact(big * big)}"),))
+
+
+def test_corrupt_chain_past_the_digit_limit_gives_a_report(digit_limit):
+    sol = lemma3_special(2, 10 ** 2200)
+    pairs = list(sol.pairs)
+    x, y = pairs[0]
+    pairs[0] = (x, y + 1)
+    v = x * x + (y + 1) ** 2
+    report = validate_chain(ChainSolution(sol.n, tuple(pairs), sol.s))
+    assert report == Report(False, (Violation(
+        1, "pair-sum",
+        f"x^2+y^2 = {_compact(v)}, expected s = {_compact(sol.s)}"),))
