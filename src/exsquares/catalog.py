@@ -23,34 +23,27 @@ sums); a block with 2n tuples stores roots then certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .exactmath import DomainError, is_perfect_square, isqrt
 from .seeds import DegenerateParameterError, SquareSystem
 from .evolve import generate_method1
-from . import derive
 
 
 class UnknownFamilyError(DomainError):
     """No catalog record under that id."""
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
-    id: str
-    n: int
-    degree: int
-    kind: str  # "t" or "pq"
-    entries: tuple  # coefficient tuple per root
-    certificates: tuple | None  # coefficient tuple per certificate, if stored
+class FamilyRecord(namedtuple(
+        "FamilyRecord", "id n degree kind entries certificates")):
+    """kind is "t" or "pq"; entries holds one coefficient tuple per
+    root, certificates one per certificate or None if not stored."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    id: str
-    points: tuple
-    mismatches: tuple
+class CrossCheckReport(namedtuple("CrossCheckReport", "id points mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -132,6 +125,7 @@ _records_cache = None
 def _records():
     global _records_cache
     if _records_cache is None:
+        from importlib import resources
         text = (resources.files(__package__) / "data" / "families.txt") \
             .read_text(encoding="utf-8")
         _records_cache = _parse_blocks(text)
@@ -202,9 +196,15 @@ def eval_family(fid: str, params) -> SquareSystem:
 
 
 def _deg10_reference(q1, q2):
+    from . import derive
     params = (derive.n5_p_values(q1, q2), (q1, q2), derive.n5_r_values(q1, q2))
     pairs = derive.assignment_pairs(derive.ASSIGN_N5, params)
     return sorted(SquareSystem.from_pairs(pairs).roots)
+
+
+def _pipeline_roots(n, pq):
+    from . import derive
+    return sorted(getattr(derive, f"pipeline_n{n}")(*pq).roots)
 
 
 _T_POINTS = tuple(range(2, 12))
@@ -215,10 +215,8 @@ _REFERENCES = {
     "n5-method1-deg17": (_T_POINTS,
                          lambda t: sorted(generate_method1(5, t).roots)),
     "n5-method2-deg10": (_PQ_POINTS, lambda pq: _deg10_reference(*pq)),
-    "n5-method2-deg30": (_PQ_POINTS,
-                         lambda pq: sorted(derive.pipeline_n5(*pq).roots)),
-    "n6-method2-deg38": (_PQ_POINTS,
-                         lambda pq: sorted(derive.pipeline_n6(*pq).roots)),
+    "n5-method2-deg30": (_PQ_POINTS, lambda pq: _pipeline_roots(5, pq)),
+    "n6-method2-deg38": (_PQ_POINTS, lambda pq: _pipeline_roots(6, pq)),
 }
 
 

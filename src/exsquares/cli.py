@@ -18,15 +18,13 @@ import math
 import os
 import sys
 
-from . import catalog
 from .exactmath import DomainError
 from .seeds import SquareSystem
 from .evolve import generate_method1
-from .derive import pipeline_n5, pipeline_n6, pipeline_n7, pipeline_n8
 from .verify import Report, Violation, validate_system
 
-_PIPELINES = {5: pipeline_n5, 6: pipeline_n6, 7: pipeline_n7,
-              8: pipeline_n8}
+# derive and catalog are imported only by the code that runs them
+_PIPELINE_NS = (5, 6, 7, 8)
 
 GEN_NS = range(3, 9)
 
@@ -94,6 +92,15 @@ def _parse_range(text: str):
     return lo, hi
 
 
+def _pipeline(n):
+    """derive's pipeline_n<n>; DomainError for an n without one."""
+    if n not in _PIPELINE_NS:
+        raise DomainError(
+            f"method 2 has built-in pipelines for n in {list(_PIPELINE_NS)}")
+    from . import derive
+    return getattr(derive, f"pipeline_n{n}")
+
+
 def _generate(n, method, t, params):
     if method == 1:
         if t is None:
@@ -101,11 +108,7 @@ def _generate(n, method, t, params):
         return generate_method1(n, t)
     if params is None:
         raise DomainError("method 2 needs --params P1,P2")
-    pipeline = _PIPELINES.get(n)
-    if pipeline is None:
-        raise DomainError(
-            f"method 2 has built-in pipelines for n in {sorted(_PIPELINES)}")
-    return pipeline(*params)
+    return _pipeline(n)(*params)
 
 
 def cmd_gen(args) -> int:
@@ -140,6 +143,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
     if args.action == "list":
         for fid in catalog.list_families():
             rec = catalog.get_family(fid)
@@ -161,8 +165,8 @@ def cmd_catalog(args) -> int:
 
 def _sweep_points(args):
     """The sweep's points in a fixed order, produced lazily: t for
-    method 1, coprime (p1, p2) for method 2. A missing flag raises at
-    once, before any output."""
+    method 1, coprime (p1, p2) for method 2. A missing flag, or a
+    method-2 n without a pipeline, raises at once, before any output."""
     if args.method == 1:
         if args.t_range is None:
             raise DomainError("method 1 sweeps need --t-range LO:HI")
@@ -170,6 +174,7 @@ def _sweep_points(args):
         return range(lo, hi + 1)
     if args.max_sum is None:
         raise DomainError("method 2 sweeps need --max-sum N")
+    _pipeline(args.n)
     return ((p1, total - p1) for total in range(2, args.max_sum + 1)
             for p1 in range(1, total) if math.gcd(p1, total - p1) == 1)
 
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="1 = seed and transform, 2 = chain assignment")
     gen.add_argument("--t", type=int, help="method 1 seed parameter")
     gen.add_argument("--params", type=_parse_pair, metavar="P1,P2",
-                     help="method 2 parameter pair")
+                     help="method 2 parameter pair (write --params=-1,2)")
     gen.set_defaults(func=cmd_gen)
 
     ver = sub.add_parser("verify", help="validate a JSON system")
@@ -219,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     cat = sub.add_parser("catalog", help="built-in published families")
     cat.add_argument("action", choices=("list", "eval", "cross-check"))
     cat.add_argument("id", nargs="?", help="family id")
-    cat.add_argument("--params", type=_parse_pair, metavar="P1,P2")
+    cat.add_argument("--params", type=_parse_pair, metavar="P1,P2",
+                     help="pq family pair (write --params=-1,2)")
     cat.add_argument("--t", type=int)
     cat.set_defaults(func=cmd_catalog)
 

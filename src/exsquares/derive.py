@@ -26,7 +26,7 @@ machinery so tests can confirm the tables against the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -64,8 +64,7 @@ class NoFermatRootError(DomainError):
 ORIENTATIONS = ("+ab", "-ab", "+ba", "-ba")
 
 
-@dataclass(frozen=True)
-class ChainAssignment:
+class ChainAssignment(namedtuple("ChainAssignment", "chain_size slots")):
     """Per-slot choice of chain member and orientation.
 
     slots are (source index, orientation): source indexes the 4- or
@@ -73,17 +72,17 @@ class ChainAssignment:
     (-b,a) from that member.
     """
 
-    chain_size: int
-    slots: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.chain_size not in (4, 8):
+    def __new__(cls, chain_size, slots):
+        if chain_size not in (4, 8):
             raise DomainError("chain size must be 4 or 8")
-        for src, orient in self.slots:
-            if not 1 <= src <= self.chain_size:
+        for src, orient in slots:
+            if not 1 <= src <= chain_size:
                 raise DomainError(f"slot source {src} outside chain")
             if orient not in ORIENTATIONS:
                 raise DomainError(f"unknown orientation {orient!r}")
+        return super().__new__(cls, chain_size, slots)
 
     @property
     def n(self):
@@ -144,13 +143,10 @@ def _residual_value(assignment, params):
 # the residual as a quadratic form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(namedtuple("QuadraticForm", "A B C")):
     """A*u^2 + B*u*v + C*v^2 over whatever scalars built it."""
 
-    A: object
-    B: object
-    C: object
+    __slots__ = ()
 
     def __call__(self, u, v):
         return self.A * u * u + self.B * u * v + self.C * v * v

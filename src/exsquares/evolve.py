@@ -31,8 +31,7 @@ final gcd reduction makes them equal.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .exactmath import DomainError, vec_gcd
 from .seeds import (ChainSolution, DegenerateParameterError, SquareSystem,
@@ -51,10 +50,8 @@ class DistinctifyError(DomainError):
         super().__init__(f"entries still repeat: multiplicities {multiplicities}")
 
 
-@dataclass(frozen=True)
-class TransformCoefficients:
-    P: object
-    S: object
+class TransformCoefficients(namedtuple("TransformCoefficients", "P S")):
+    __slots__ = ()
 
 
 def _classes(pairs) -> dict:

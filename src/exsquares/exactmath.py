@@ -7,7 +7,6 @@ the integer arithmetic and ``fractions.Fraction`` carries the rationals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -37,6 +36,7 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
     Fraction keeps num/den coprime, so both parts must be squares.
     """
+    from fractions import Fraction  # only the derivations need it
     if x < 0:
         return None
     n, d = x.numerator, x.denominator

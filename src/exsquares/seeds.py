@@ -11,11 +11,14 @@ turns them into solutions with all entries distinct.
 
 Constructors are generic in the parameter type: an integer t gives a
 numeric solution, a polynomial t gives the parametric family itself.
+
+The value types here, like every record of the package, are named
+tuples: immutable, compared and hashed by value as plain tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactmath import DomainError, vec_gcd
 
@@ -24,13 +27,10 @@ class DegenerateParameterError(DomainError):
     """A parameter choice makes some entry vanish (or collapse)."""
 
 
-@dataclass(frozen=True)
-class ChainSolution:
+class ChainSolution(namedtuple("ChainSolution", "n pairs s")):
     """Pairs (x_i, y_i) with common sum s; signs are significant."""
 
-    n: int
-    pairs: tuple
-    s: object
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -49,17 +49,13 @@ class ChainSolution:
         return tuple(y for _, y in self.pairs)
 
 
-@dataclass(frozen=True)
-class SquareSystem:
+class SquareSystem(namedtuple("SquareSystem", "n roots certificates s")):
     """n roots whose squares sum to s, with per-index certificates.
 
     certificates[i]^2 == s - roots[i]^2 for every i.
     """
 
-    n: int
-    roots: tuple
-    certificates: tuple
-    s: object
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs):

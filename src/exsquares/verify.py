@@ -16,27 +16,24 @@ past the int->str digit limit is written as its bit length instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactmath import is_perfect_square
 from .seeds import ChainSolution, SquareSystem
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int | None  # 1-based entry index, None for global conditions
-    kind: str
-    detail: str
+class Violation(namedtuple("Violation", "index kind detail")):
+    """index is the 1-based entry index, None for global conditions."""
+
+    __slots__ = ()
 
     def __str__(self):
         where = f"entry {self.index}" if self.index is not None else "global"
         return f"[{self.kind}] {where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Report:
-    ok: bool
-    violations: tuple
+class Report(namedtuple("Report", "ok violations")):
+    __slots__ = ()
 
     def __str__(self):
         if self.ok:

@@ -306,3 +306,62 @@ def test_cli_import_leaves_the_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+def test_sweep_rejects_a_method2_n_without_a_pipeline():
+    proc = run("sweep", "--n", "3", "--method", "2", "--max-sum", "60")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == \
+        "error: method 2 has built-in pipelines for n in [5, 6, 7, 8]\n"
+
+
+# Runs cli.main(argv) with stdin text and prints every loaded module.  The
+# probes run under -S: a site .pth file may preload modules of its own.
+_PROBE = """\
+import io, sys
+from exsquares import cli
+stdin, *argv = sys.argv[1:]
+sys.stdin, out, sys.stdout = io.StringIO(stdin), sys.stdout, io.StringIO()
+code = cli.main(argv)
+sys.stdout = out
+print(*sys.modules, sep="\\n")
+sys.exit(code)
+"""
+
+_UNUSED_BY_METHOD1 = {"dataclasses", "fractions", "importlib.resources",
+                      "exsquares.derive", "exsquares.catalog",
+                      "exsquares.polyfield"}
+
+
+def _modules_loaded(probe, *args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["gen", "--n", "6", "--method", "1", "--t", "2"], _UNUSED_BY_METHOD1),
+    (["verify"], _UNUSED_BY_METHOD1),
+    (["sweep", "--n", "5", "--method", "1", "--t-range", "2:4"],
+     _UNUSED_BY_METHOD1),
+    (["gen", "--n", "5", "--method", "2", "--params", "1,2"],
+     {"dataclasses", "exsquares.catalog"}),
+], ids=["gen-method1", "verify", "sweep-method1", "gen-method2"])
+def test_a_subcommand_loads_only_what_it_runs(argv, unloaded):
+    loaded = _modules_loaded(_PROBE, system_to_json(generate_method1(5, 2)),
+                             *argv)
+    assert "exsquares.cli" in loaded
+    assert loaded & unloaded == set()
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    probe = ("import sys, exsquares; "
+             "print(*sys.modules, sep='\\n'); "
+             "assert set(exsquares.__all__) <= set(dir(exsquares))")
+    loaded = _modules_loaded(probe)
+    assert "exsquares" in loaded
+    assert {m for m in loaded if m.startswith("exsquares.")} == set()
