@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen (construct one system), verify (validate a JSON
-system from a file or stdin), catalog (list / eval / cross-check the
-built-in families), sweep (JSON-lines stream over a parameter range).
+Subcommands: gen (construct one system), verify (validate the JSON
+systems of a file or stdin: one object, or a stream such as sweep's
+JSON lines, one report per system), catalog (list / eval / cross-check
+the built-in families), sweep (JSON-lines stream over a parameter
+range).
 
 All big integers are serialized as decimal strings; the values exceed
 64-bit range by hundreds of bits and must survive any JSON reader.
@@ -16,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .exactmath import DomainError
@@ -30,11 +33,14 @@ GEN_NS = range(3, 9)
 
 
 def system_to_json(system: SquareSystem) -> str:
+    # s has the most digits of any value, so a system past the int->str
+    # digit limit raises here, before any root is converted
+    s = str(system.s)
     return json.dumps({
         "n": system.n,
         "roots": [str(r) for r in system.roots],
         "certificates": [str(c) for c in system.certificates],
-        "s": str(system.s),
+        "s": s,
         "reduced": True,
     })
 
@@ -122,24 +128,41 @@ def cmd_gen(args) -> int:
     return 0
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips
+
+
+def _json_values(text: str):
+    """The JSON values written one after another in text (JSON lines or
+    pretty-printed objects).  There is at least one: empty input raises
+    json.loads's JSONDecodeError."""
+    decoder, end = json.JSONDecoder(), 0
+    while True:
+        obj, end = decoder.raw_decode(text, _JSON_SPACE.match(text, end).end())
+        yield obj
+        if _JSON_SPACE.match(text, end).end() == len(text):
+            return
+
+
 def cmd_verify(args) -> int:
     if args.file is None or args.file == "-":
         text = sys.stdin.read()
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
-    system = _system_from_obj(obj)
-    report = validate_system(system,
-                             require_distinct=not args.allow_repeats)
-    if obj.get("reduced") is True:
-        g = math.gcd(*system.roots, *system.certificates)
-        if g > 1:
-            report = Report(False, report.violations + (Violation(
-                None, "not-reduced",
-                f"roots and certificates share the factor {g}"),))
-    print(report)
-    return 0 if report.ok else 1
+    failed = False
+    for obj in _json_values(text):
+        system = _system_from_obj(obj)
+        report = validate_system(system,
+                                 require_distinct=not args.allow_repeats)
+        if obj.get("reduced") is True:
+            g = math.gcd(*system.roots, *system.certificates)
+            if g > 1:
+                report = Report(False, report.violations + (Violation(
+                    None, "not-reduced",
+                    f"roots and certificates share the factor {g}"),))
+        print(report)
+        failed = failed or not report.ok
+    return 1 if failed else 0
 
 
 def cmd_catalog(args) -> int:
@@ -214,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="method 2 parameter pair (write --params=-1,2)")
     gen.set_defaults(func=cmd_gen)
 
-    ver = sub.add_parser("verify", help="validate a JSON system")
+    ver = sub.add_parser("verify", help="validate JSON systems")
     ver.add_argument("file", nargs="?",
                      help="JSON file (default or '-': stdin)")
     ver.add_argument("--allow-repeats", action="store_true",

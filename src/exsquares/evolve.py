@@ -16,10 +16,14 @@ halving round leaves whole blocks of such pairs, so transform and
 coefficients compute each class's products once (_classes) and give
 every pair of the class its image or its share of P and S.
 
-transform, inverse_transform and flip are generic over the scalar type;
-distinctify and generate_method1 run the rounds on integers (each round
-ends in reduce_chain, which keeps the signs) and return
-SquareSystem.from_pairs of the last chain.  Run over the n = 5, 6 seeds
+transform and flip are generic over the scalar type; distinctify and
+generate_method1 run the rounds on integers and return
+SquareSystem.from_pairs of the last chain.  Each round starts with
+reduce_chain (which keeps the signs), so the chain it transforms is
+reduced, and from_pairs makes the one reduction of the last round's
+output: the transform is homogeneous of degree 3, and flips and
+equality tests ignore positive scaling, so leaving a round's output
+unreduced changes nothing but its size.  Run over the n = 5, 6 seeds
 as polynomials in t, the halving rounds negate index sets that cannot
 depend on t, so they are kept as fixed schedules (_SCHEDULES) and
 applied at the integer t.  That gives the polynomial family's value at
@@ -36,10 +40,6 @@ from collections import Counter, namedtuple
 from .exactmath import DomainError, vec_gcd
 from .seeds import (ChainSolution, DegenerateParameterError, SquareSystem,
                     lemma3_general, seed_n5_simple, seed_n6)
-
-
-class NotAnImageError(DomainError):
-    """Inverse transform applied to something that is not an image."""
 
 
 class DistinctifyError(DomainError):
@@ -104,26 +104,6 @@ def transform(sol: ChainSolution) -> ChainSolution:
     return ChainSolution.from_pairs(images[pair] for pair in sol.pairs)
 
 
-def _exact_div(v, d):
-    q, r = divmod(v, d)
-    if r != 0:
-        raise NotAnImageError("division not exact; not a transform image")
-    return q
-
-
-def inverse_transform(sol: ChainSolution,
-                      coeffs: TransformCoefficients) -> ChainSolution:
-    """Undo transform, given the pre-image's own (P, S)."""
-    a = (sol.n - 2) * coeffs.S
-    b = 2 * coeffs.P
-    d = a * a + b * b
-    if d == 0:
-        raise NotAnImageError("degenerate coefficients: 4P^2+(n-2)^2S^2 = 0")
-    return ChainSolution.from_pairs(
-        (_exact_div(a * x + b * y, d), _exact_div(a * y - b * x, d))
-        for x, y in sol.pairs)
-
-
 def flip(sol: ChainSolution, indices) -> ChainSolution:
     idx = frozenset(indices)
     for i in idx:
@@ -157,7 +137,7 @@ def _halving_flips(sol: ChainSolution) -> frozenset:
 
 
 def _round(sol: ChainSolution, indices) -> ChainSolution:
-    return reduce_chain(transform(flip(sol, indices)))
+    return transform(flip(reduce_chain(sol), indices))
 
 
 MAX_ROUNDS = 16

@@ -48,7 +48,8 @@ CHAIN8_FLIPS = ((), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 def chain4(p, q, r):
     """Four equal-norm pairs built from three parameter pairs.
 
-    Every returned (a, b) satisfies a^2 + b^2 = chain4_norm(p, q, r).
+    Every returned (a, b) has a^2 + b^2 equal to the product of the
+    pair_norm of p, q and r.
     """
     # each parameter pair and its conjugate, indexed by "k in mask"
     cp, cq, cr = [(u, (u[0], -u[1])) for u in (p, q, r)]
@@ -63,7 +64,8 @@ def chain4(p, q, r):
 def chain8(p, q, r, s):
     """Eight equal-norm pairs built from four parameter pairs.
 
-    Every returned (a, b) satisfies a^2 + b^2 = chain8_norm(p, q, r, s).
+    Every returned (a, b) has a^2 + b^2 equal to the product of the
+    pair_norm of p, q, r and s.
     """
     cp, cq, cr, cs = [(u, (u[0], -u[1])) for u in (p, q, r, s)]
     out = []
@@ -76,13 +78,3 @@ def chain8(p, q, r, s):
 
 def pair_norm(u):
     return u[0] * u[0] + u[1] * u[1]
-
-
-def chain4_norm(p, q, r):
-    """Common value of a^2 + b^2 over chain4(p, q, r)."""
-    return pair_norm(p) * pair_norm(q) * pair_norm(r)
-
-
-def chain8_norm(p, q, r, s):
-    """Common value of a^2 + b^2 over chain8(p, q, r, s)."""
-    return pair_norm(p) * pair_norm(q) * pair_norm(r) * pair_norm(s)

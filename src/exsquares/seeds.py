@@ -103,24 +103,9 @@ def lemma3_general(n: int, t) -> ChainSolution:
     return ChainSolution.from_pairs(pairs)
 
 
-def lemma3_special(m: int, t) -> ChainSolution:
-    """Family with n = m^2 + 1 entries, the first n-1 all equal to 2t.
-
-    Excluding the last entry leaves (2mt)^2; excluding any other leaves
-    ((n-2)t^2 + 1)^2.
-    """
-    if m < 2:
-        raise DomainError("need m >= 2")
-    n = m * m + 1
-    head = (2 * t, (n - 2) * t * t + 1)
-    tail = ((n - 2) * t * t - 1, 2 * m * t)
-    pairs = (head,) * (n - 1) + (tail,)
-    _require_nonzero(pairs, f"lemma3_special(m={m})")
-    return ChainSolution.from_pairs(pairs)
-
-
 def seed_n5_simple(t) -> ChainSolution:
-    """Five-entry seed: the m=2 special family with x_3, x_4 negated.
+    """Five-entry seed: the m=2 special family (n = m^2 + 1, the first
+    n-1 entries equal to 2t) with x_3, x_4 negated.
 
     The sign split (two +2t, two -2t) is what lets a single transform
     round separate the repeated block.

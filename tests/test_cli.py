@@ -1,16 +1,22 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
+from oracles import lemma3_special
 from exsquares import cli
 from exsquares.cli import system_from_json, system_to_json
 from exsquares.evolve import generate_method1
-from exsquares.seeds import SquareSystem, lemma3_special
+from exsquares.seeds import SquareSystem
 from exsquares.verify import validate_system
+
+
+_M1_N5_T2_TEXT = system_to_json(generate_method1(5, 2))
+_M1_N5_T2_OBJ = json.loads(_M1_N5_T2_TEXT)
 
 
 def run(*args, stdin=None):
@@ -115,6 +121,73 @@ def test_verify_allow_repeats():
     assert run("verify", "--allow-repeats", stdin=text).returncode == 0
 
 
+def test_verify_checks_every_system_of_a_sweep():
+    sweep = run("sweep", "--n", "7", "--method", "2", "--max-sum", "30")
+    assert sweep.returncode == 0
+    n_lines = len(sweep.stdout.splitlines())
+    assert n_lines > 200
+    cli_cmd = f"{shlex.quote(sys.executable)} -m exsquares.cli"
+    proc = subprocess.run(
+        f"{cli_cmd} sweep --n 7 --method 2 --max-sum 30 | {cli_cmd} verify",
+        shell=True, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n" * n_lines
+
+
+def test_verify_stream_reports_each_system_in_order():
+    lines = run("sweep", "--n", "5", "--method", "1",
+                "--t-range", "2:5").stdout.splitlines()
+    obj = json.loads(lines[2])
+    obj["certificates"][1] = str(int(obj["certificates"][1]) + 1)
+    lines[2] = json.dumps(obj)
+    proc = run("verify", stdin="\n".join(lines) + "\n")
+    assert proc.returncode == 1
+    reports = proc.stdout.splitlines()
+    assert len(reports) == 4
+    assert reports[:2] + reports[3:] == ["ok"] * 3
+    assert reports[2].startswith("[certificate] entry 2: ")
+    # objects written one after another, pretty-printed, are a stream too
+    pretty = "".join(json.dumps(json.loads(line), indent=2)
+                     for line in lines)
+    again = run("verify", stdin=pretty)
+    assert (again.returncode, again.stdout) == (1, proc.stdout)
+
+
+@pytest.mark.parametrize("text, code, stdout", [
+    ("", 3, ""),
+    (" \n\n", 3, ""),
+    (_M1_N5_T2_TEXT + "\n[1, 2]\n", 3, "ok\n"),
+    (_M1_N5_T2_TEXT + "{oops", 3, "ok\n"),
+    (json.dumps(json.loads(_M1_N5_T2_TEXT), indent=2), 0, "ok\n"),
+    (_M1_N5_T2_TEXT + _M1_N5_T2_TEXT, 0, "ok\nok\n"),
+], ids=["empty", "blank", "then-not-a-system", "then-corrupt-json",
+        "one-pretty-printed", "two-on-one-line"])
+def test_verify_stream_edges(text, code, stdout):
+    proc = run("verify", stdin=text)
+    assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+class _StrSpy(int):
+    """An int that records each conversion to decimal."""
+
+    converted = []
+
+    def __str__(self):
+        _StrSpy.converted.append(self)
+        return int.__str__(self)
+
+
+def test_over_limit_encode_converts_no_root(digit_limit):
+    system = generate_method1(48, 2)
+    roots = tuple(_StrSpy(r) for r in system.roots)
+    certs = tuple(_StrSpy(c) for c in system.certificates)
+    _StrSpy.converted.clear()
+    with pytest.raises(ValueError):
+        system_to_json(SquareSystem(system.n, roots, certs, system.s))
+    assert _StrSpy.converted == []
+
+
 def test_json_helpers_round_trip():
     system = SquareSystem.from_pairs(lemma3_special(3, 2).pairs)
     again = system_from_json(system_to_json(system))
@@ -161,9 +234,6 @@ def test_catalog_eval_past_the_digit_limit_exits_3():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
-
-
-_M1_N5_T2_OBJ = json.loads(system_to_json(generate_method1(5, 2)))
 
 
 def _edited(**fields):

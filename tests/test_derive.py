@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M2_N5_12, M2_N6_12, M2_N7_21, M2_N8_21
+from oracles import chain4_norm
 from exsquares.exactmath import DomainError, rational_sqrt, vec_gcd
-from exsquares.identities import chain4, chain4_norm
+from exsquares.identities import chain4
 from exsquares.polyfield import Poly, X
 from exsquares.seeds import DegenerateParameterError
 from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M1_N6_T2
+from oracles import NotAnImageError, inverse_transform, lemma3_special
 from exsquares import evolve
 from exsquares.exactmath import DomainError
 from exsquares.polyfield import Poly, X
 from exsquares.seeds import (ChainSolution, DegenerateParameterError,
-                             SquareSystem, lemma3_general, lemma3_special,
-                             seed_n5_simple, seed_n6)
-from exsquares.evolve import (DistinctifyError, NotAnImageError,
-                              TransformCoefficients, coefficients,
-                              distinctify, finalize_system, flip,
-                              generate_method1, inverse_transform,
-                              method1_seed, reduce_chain, transform)
+                             SquareSystem, lemma3_general, seed_n5_simple,
+                             seed_n6)
+from exsquares.evolve import (DistinctifyError, TransformCoefficients,
+                              coefficients, distinctify, finalize_system,
+                              flip, generate_method1, method1_seed,
+                              reduce_chain, transform)
 from exsquares.verify import validate_chain, validate_system
 
 
@@ -119,6 +119,27 @@ def test_generate_method1_large_n_is_pinned(n):
     text = " ".join(hex(v) for v in (*system.roots, *system.certificates,
                                      system.s))
     assert hashlib.sha256(text.encode()).hexdigest() == M1_T2_DIGESTS[n]
+
+
+def _method1_line(n, t):
+    """n, t and generate_method1(n, t) in hex, or the error it raises."""
+    try:
+        system = generate_method1(n, t)
+    except DomainError as exc:
+        return f"{n} {t} {type(exc).__name__}: {exc}\n"
+    return f"{n} {t} " + " ".join(hex(v) for v in (
+        *system.roots, *system.certificates, system.s)) + "\n"
+
+
+def test_generate_method1_panel_is_pinned():
+    """Every output and error text at n = 3..32, t = -8..8, and at
+    n = 40, 64, 72, t = 2, as computed when each round still ended in a
+    gcd reduction."""
+    points = [(n, t) for n in range(3, 33) for t in range(-8, 9)]
+    points += [(40, 2), (64, 2), (72, 2)]
+    text = "".join(_method1_line(n, t) for n, t in points)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "156ce7f7b224d5ccbfa0e8c0a0cd578a9f65e00b1d66bece34c1710e277f767a"
 
 
 def test_coefficients_are_the_two_weighted_sums():

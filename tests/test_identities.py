@@ -2,9 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import chain4_norm, chain8_norm
 from exsquares.identities import (CHAIN4_FLIPS, CHAIN8_FLIPS, chain4,
-                                  chain4_norm, chain8, chain8_norm,
-                                  pair_norm, phi, psi)
+                                  chain8, pair_norm, phi, psi)
 from exsquares.polyfield import Poly, X
 
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)

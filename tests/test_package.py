@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 
 import exsquares
@@ -100,3 +103,45 @@ def test_chain_assignment_rejects_bad_slots(chain_size, slots):
         ChainAssignment(chain_size, slots)
     with pytest.raises(DomainError):
         ChainAssignment(chain_size=chain_size, slots=slots)
+
+
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _names_in(node) -> set:
+    """Every identifier, attribute, imported name and string constant
+    under node: the ways code can name a top-level def."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)  # __all__ and the bench's name tables
+    return names
+
+
+def test_every_src_def_is_used_outside_the_tests():
+    """Each top-level def and class of the package is named by code
+    outside its own definition: another statement of src, a demo or
+    bench/.  Code only the tests call belongs in tests/oracles.py.
+    Dunder functions (PEP 562 module hooks) are called by Python."""
+    outside = set()
+    for pattern in ("demos/*.py", "bench/*.py"):
+        for path in _REPO.glob(pattern):
+            outside |= _names_in(ast.parse(path.read_text()))
+    statements = [
+        (path.name, stmt, _names_in(stmt))
+        for path in sorted((_REPO / "src" / "exsquares").glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body]
+    unused = [
+        f"{home}: {stmt.name}" for home, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("__")
+        and stmt.name not in outside
+        and not any(stmt.name in names
+                    for _, other, names in statements if other is not stmt)]
+    assert unused == []

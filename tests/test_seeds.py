@@ -1,10 +1,10 @@
 import pytest
 
+from oracles import lemma3_special
 from exsquares.exactmath import DomainError
 from exsquares.polyfield import Poly, X
 from exsquares.seeds import (ChainSolution, DegenerateParameterError,
-                             lemma3_general, lemma3_special, seed_n5_simple,
-                             seed_n6)
+                             lemma3_general, seed_n5_simple, seed_n6)
 from exsquares.verify import validate_chain
 
 TS = range(2, 22)  # 20 non-degenerate parameter values

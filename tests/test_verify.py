@@ -1,9 +1,8 @@
-import sys
-
 import pytest
 
+from oracles import lemma3_special, validate_system_3n
 from exsquares.evolve import generate_method1
-from exsquares.seeds import ChainSolution, SquareSystem, lemma3_special
+from exsquares.seeds import ChainSolution, SquareSystem
 from exsquares.derive import pipeline_n5
 from exsquares.verify import (Report, Violation, validate_chain,
                               validate_system)
@@ -144,15 +143,6 @@ def test_report_per_violation_kind(system, require_distinct, violations):
         Report(not violations, tuple(violations))
 
 
-@pytest.fixture
-def digit_limit():
-    """Pin the int<->str digit limit at its default, 4300."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 def _compact(v):
     return f"<{v.bit_length()}-bit integer>"
 
@@ -212,3 +202,35 @@ def test_corrupt_chain_past_the_digit_limit_gives_a_report(digit_limit):
     assert report == Report(False, (Violation(
         1, "pair-sum",
         f"x^2+y^2 = {_compact(v)}, expected s = {_compact(sol.s)}"),))
+
+
+def _corruptions(system):
+    """system, then system with one value corrupted in each way the
+    validator checks, each with the require_distinct flag to use."""
+    n, roots, certs, s = system
+
+    def edit(values, i, v):
+        return values[:i] + (v,) + values[i + 1:]
+
+    yield system, True
+    for d in (1, -1):
+        yield SquareSystem(n, edit(roots, 0, roots[0] + d), certs, s), True
+        yield SquareSystem(n, roots, edit(certs, 1, certs[1] + d), s), True
+        yield SquareSystem(n, roots, certs, s + d), True
+    yield SquareSystem(n, edit(roots, 2, 0), certs, s), True
+    for require_distinct in (True, False):
+        yield SquareSystem(n, edit(roots, 1, -roots[0]), certs, s), \
+            require_distinct
+    yield SquareSystem(n, roots[:-1], certs, s), True
+    yield SquareSystem(n + 1, roots, certs, s), True
+
+
+@pytest.mark.parametrize("build", [lambda: pipeline_n5(1, 2),
+                                   lambda: generate_method1(72, 2)],
+                         ids=["pipeline_n5", "method1_n72"])
+def test_reports_match_the_3n_validator(build, digit_limit):
+    """Squaring each root once changes no Report: same violations, same
+    texts, same order as the validator that squared it twice."""
+    for system, require_distinct in _corruptions(build()):
+        assert validate_system(system, require_distinct) == \
+            validate_system_3n(system, require_distinct)
