@@ -2,9 +2,10 @@
 
 Subcommands: gen (construct one system), verify (validate the JSON
 systems of a file or stdin: one object, or a stream such as sweep's
-JSON lines, one report per system), catalog (list / eval / cross-check
-the built-in families), sweep (JSON-lines stream over a parameter
-range).
+JSON lines, read a line at a time, one report per system), catalog
+(list / eval / cross-check the built-in families), sweep (JSON-lines
+stream over a parameter range; method 2 builds each unordered pair
+once).
 
 All big integers are serialized as decimal strings; the values exceed
 64-bit range by hundreds of bits and must survive any JSON reader.
@@ -131,29 +132,51 @@ def cmd_gen(args) -> int:
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips
 
 
-def _json_values(text: str):
-    """The JSON values written one after another in text (JSON lines or
-    pretty-printed objects).  There is at least one: empty input raises
-    json.loads's JSONDecodeError."""
-    decoder, end = json.JSONDecoder(), 0
-    while True:
-        obj, end = decoder.raw_decode(text, _JSON_SPACE.match(text, end).end())
+def _json_values(fh):
+    """The JSON values written one after another in a text stream (JSON
+    lines or pretty-printed objects).  There is at least one: empty
+    input raises.  A line that is one whole value is decoded as it
+    arrives, so a JSON-lines stream is never held whole.  From the first
+    line that is neither blank nor one whole value (a pretty-printed
+    object, two values on one line), the rest of the stream is read and
+    decoded as one text.  Error positions count from the start of the
+    stream, as if it had been read whole."""
+    chars = newlines = 0  # in the lines decoded so far
+    rest = ""  # the blank lines since the last value, then the undecoded text
+    for line in fh:
+        if _JSON_SPACE.fullmatch(line):
+            rest += line
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            rest += line + fh.read()
+            break
+        chars += len(rest) + len(line)
+        newlines += rest.count("\n") + line.count("\n")
+        rest = ""
         yield obj
-        if _JSON_SPACE.match(text, end).end() == len(text):
-            return
-
-
-def cmd_verify(args) -> int:
-    if args.file is None or args.file == "-":
-        text = sys.stdin.read()
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if chars:  # a value was decoded, and only blank lines follow it
+            return
+    decoder, end = json.JSONDecoder(), 0
+    try:
+        while True:
+            obj, end = decoder.raw_decode(rest,
+                                          _JSON_SPACE.match(rest, end).end())
+            yield obj
+            if _JSON_SPACE.match(rest, end).end() == len(rest):
+                return
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{exc.msg}: line {exc.lineno + newlines} column "
+                         f"{exc.colno} (char {exc.pos + chars})") from None
+
+
+def _verify_stream(fh, allow_repeats) -> int:
     failed = False
-    for obj in _json_values(text):
+    for obj in _json_values(fh):
         system = _system_from_obj(obj)
-        report = validate_system(system,
-                                 require_distinct=not args.allow_repeats)
+        report = validate_system(system, require_distinct=not allow_repeats)
         if obj.get("reduced") is True:
             g = math.gcd(*system.roots, *system.certificates)
             if g > 1:
@@ -163,6 +186,13 @@ def cmd_verify(args) -> int:
         print(report)
         failed = failed or not report.ok
     return 1 if failed else 0
+
+
+def cmd_verify(args) -> int:
+    if args.file is None or args.file == "-":
+        return _verify_stream(sys.stdin, args.allow_repeats)
+    with open(args.file, "r", encoding="utf-8") as fh:
+        return _verify_stream(fh, args.allow_repeats)
 
 
 def cmd_catalog(args) -> int:
@@ -204,7 +234,17 @@ def _sweep_points(args):
 
 def cmd_sweep(args) -> int:
     failed = False
+    # Method 2: pipeline_n(p1, p2) == pipeline_n(p2, p1) (see derive), and
+    # (p2, p1) follows (p1, p2) in the same p1 + p2 block, so the line of
+    # a validated (p1, p2) with p1 < p2 waits here, keyed by its mirror,
+    # and is printed again there: at most max-sum / 2 lines are held.
+    # A skipped or failed point keeps nothing, so its mirror is built and
+    # logged under its own name.
+    mirrored = {}
     for point in _sweep_points(args):
+        if point in mirrored:
+            print(mirrored.pop(point))
+            continue
         t, params = (point, None) if args.method == 1 else (None, point)
         try:
             system = _generate(args.n, args.method, t, params)
@@ -213,7 +253,10 @@ def cmd_sweep(args) -> int:
             continue
         report = validate_system(system)
         if report.ok:
-            print(system_to_json(system))
+            line = system_to_json(system)
+            print(line)
+            if params is not None and point[0] < point[1]:
+                mirrored[point[::-1]] = line
         else:
             print(f"validation failed at {point}: {report}", file=sys.stderr)
             failed = True

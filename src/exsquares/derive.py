@@ -22,17 +22,26 @@ pipeline was found:
 The closed-form substitutions the pipelines use (*_values functions)
 are fixed data; the derive_n* functions re-derive them from the solver
 machinery so tests can confirm the tables against the engine.
+
+Every pipeline is symmetric, pipeline_n(p1, p2) == pipeline_n(p2, p1):
+the swap reverses or conjugates each parameter pair the pipeline
+derives (the odd and even q tables are each other's reverse, one
+component of each of p, r and s is even and the other odd under the
+swap, and n5_r_values' two forms are reverses), and the reduced system
+of the chain is the same.  The method-2 sweep builds each unordered
+pair once on that account; test_derive pins the symmetry.
+
+Only the derivations use Fraction and Poly, so they import them where
+they run and a process that only runs pipelines loads neither.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
 from .exactmath import DomainError, is_perfect_square, isqrt, rational_sqrt
 from .identities import chain4, chain8, pair_norm
-from .polyfield import Poly, X
 from .seeds import ChainSolution, DegenerateParameterError, SquareSystem
 from .evolve import finalize_system, transform
 
@@ -192,6 +201,7 @@ def _scalar_sqrt(v):
         if v < 0 or not is_perfect_square(v):
             return None
         return isqrt(v)
+    from fractions import Fraction
     if isinstance(v, Fraction):
         return rational_sqrt(v)
     raise DomainError(f"no square root defined for {type(v).__name__}")
@@ -203,6 +213,7 @@ def normalize_projective(u, v):
 
     Any other scalar type raises DomainError.
     """
+    from fractions import Fraction
     if not (isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction))):
         raise DomainError(
             f"no projective normal form for ({type(u).__name__}, "
@@ -259,15 +270,17 @@ def vieta_second_root(form: QuadraticForm, known):
     return normalize_projective(u1, v1)
 
 
-def fermat_square(quartic: Poly) -> Fraction:
+def fermat_square(quartic):
     """A rational point where the quartic's value is a perfect square.
 
     Matches the quartic against (q(x))^2 for a quadratic q fixed from
     the constant end: its x^0, x^1 and x^2 coefficients (the constant
     term must be a nonzero rational square).  What is left over is x^3
-    times a linear form; its root is returned.  The quartic is a Poly in
-    x, as discriminant returns for a residual in a symbolic pair (x : 1).
+    times a linear form; its root, a Fraction, is returned.  The quartic
+    is a Poly in x, as discriminant returns for a residual in a symbolic
+    pair (x : 1).
     """
+    from fractions import Fraction
     if quartic.degree > 4 or quartic.degree < 0:
         raise DomainError("fermat_square expects degree <= 4")
     c = list(quartic.coeffs) + [Fraction(0)] * (5 - len(quartic.coeffs))
@@ -385,8 +398,13 @@ def n8_s_values(p1, p2):
 # re-derivations of the fixed substitutions
 # ---------------------------------------------------------------------------
 
-_W = (X, Poly([1]))  # symbolic projective pair (w : 1)
 _HOLE = (1, 0)  # placeholder for the unknown slot
+
+
+def _symbolic_pair():
+    """The projective pair (w : 1) in the polynomial ring Q[w]."""
+    from .polyfield import Poly, X
+    return X, Poly([1])
 
 
 def derive_n5(q1: int, q2: int):
@@ -395,7 +413,8 @@ def derive_n5(q1: int, q2: int):
     Returns {"p": pair, "r": (root, root)}: p from Fermat matching on
     the discriminant quartic, r as the roots of the residual there.
     """
-    form_p = residual(ASSIGN_N5, (_W, (q1, q2), _HOLE), unknown=2)
+    form_p = residual(ASSIGN_N5, (_symbolic_pair(), (q1, q2), _HOLE),
+                      unknown=2)
     quartic = discriminant(form_p)
     w = fermat_square(quartic)
     p = normalize_projective(w.numerator, w.denominator)
@@ -410,7 +429,7 @@ def derive_n6(p1: int, p2: int):
     second root off the known root (q1, q2) = (p1, p2).
     """
     p = (p1, p2)
-    form_r = residual(ASSIGN_N6, (p, p, _W, _HOLE), unknown=3)
+    form_r = residual(ASSIGN_N6, (p, p, _symbolic_pair(), _HOLE), unknown=3)
     quartic = discriminant(form_r)
     w = fermat_square(quartic)
     r = normalize_projective(w.numerator, w.denominator)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import select
 import shlex
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
 from oracles import lemma3_special
 from exsquares import cli
 from exsquares.cli import system_from_json, system_to_json
+from exsquares.exactmath import DomainError
 from exsquares.evolve import generate_method1
 from exsquares.seeds import SquareSystem
 from exsquares.verify import validate_system
@@ -151,6 +154,29 @@ def test_verify_stream_reports_each_system_in_order():
                      for line in lines)
     again = run("verify", stdin=pretty)
     assert (again.returncode, again.stdout) == (1, proc.stdout)
+
+
+def test_verify_reports_a_line_before_its_input_ends():
+    env = dict(os.environ, PYTHONUNBUFFERED="1")  # stdout is a pipe
+    proc = subprocess.Popen([sys.executable, "-m", "exsquares.cli", "verify"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        proc.stdin.write(_M1_N5_T2_TEXT + "\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "no report while stdin is open"
+        assert proc.stdout.readline() == "ok\n"
+        assert proc.poll() is None  # still reading
+        proc.stdin.write(_M1_N5_T2_TEXT + "\n")
+        proc.stdin.close()
+        assert proc.stdout.read() == "ok\n"
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
 
 
 @pytest.mark.parametrize("text, code, stdout", [
@@ -320,6 +346,58 @@ def test_sweep_deterministic_across_worker_counts():
     assert one.stdout  # not vacuous
 
 
+def _method2_points(max_sum):
+    """sweep --method 2's points in output order."""
+    return [(p1, total - p1) for total in range(2, max_sum + 1)
+            for p1 in range(1, total) if math.gcd(p1, total - p1) == 1]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_sweep_method2_equals_the_per_point_reference(n, capsys):
+    # the sweep builds (p2, p1) from the line of (p1, p2); the reference
+    # builds, validates and encodes every point on its own
+    out, err = [], []
+    for point in _method2_points(25):
+        try:
+            system = cli._generate(n, 2, None, point)
+        except DomainError as exc:
+            err.append(f"skipped {point}: {exc}\n")
+            continue
+        report = validate_system(system)
+        if report.ok:
+            out.append(system_to_json(system) + "\n")
+        else:
+            err.append(f"validation failed at {point}: {report}\n")
+    code = cli.main(["sweep", "--n", str(n), "--method", "2",
+                     "--max-sum", "25"])
+    assert (code, *capsys.readouterr()) == (0, "".join(out), "".join(err))
+    assert len(out) > 150
+
+
+def test_sweep_method2_builds_the_mirror_of_a_skipped_point(monkeypatch,
+                                                              capsys):
+    generate, built = cli._generate, []
+
+    def skip_2_3(n, method, t, params):
+        built.append(params)
+        if params == (2, 3):
+            raise DomainError("planted skip")
+        return generate(n, method, t, params)
+
+    monkeypatch.setattr(cli, "_generate", skip_2_3)
+    code = cli.main(["sweep", "--n", "5", "--method", "2", "--max-sum", "7"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err.splitlines().count("skipped (2, 3): planted skip") == 1
+    assert "(3, 2)" not in err
+    mirror = system_to_json(generate(5, 2, None, (3, 2)))
+    assert out.splitlines().count(mirror) == 1
+    assert validate_system(system_from_json(mirror)).ok
+    # a pair is built at p1 <= p2 only, but for the skipped point's mirror
+    assert built == [p for p in _method2_points(7)
+                     if p[0] <= p[1] or p == (3, 2)]
+
+
 def test_sweep_flag_mismatch_exits_2():
     assert run("sweep", "--n", "5", "--method", "1").returncode == 2
     assert run("sweep", "--n", "5", "--method", "2").returncode == 2
@@ -399,9 +477,11 @@ print(*sys.modules, sep="\\n")
 sys.exit(code)
 """
 
-_UNUSED_BY_METHOD1 = {"dataclasses", "fractions", "importlib.resources",
-                      "exsquares.derive", "exsquares.catalog",
-                      "exsquares.polyfield"}
+_UNUSED_BY_METHOD1 = {"dataclasses", "fractions", "decimal",
+                      "importlib.resources", "exsquares.derive",
+                      "exsquares.catalog", "exsquares.polyfield"}
+# the pipelines need none of the derivations' rationals and polynomials
+_UNUSED_BY_METHOD2 = _UNUSED_BY_METHOD1 - {"exsquares.derive"}
 
 
 def _modules_loaded(probe, *args):
@@ -419,8 +499,11 @@ def _modules_loaded(probe, *args):
     (["sweep", "--n", "5", "--method", "1", "--t-range", "2:4"],
      _UNUSED_BY_METHOD1),
     (["gen", "--n", "5", "--method", "2", "--params", "1,2"],
-     {"dataclasses", "exsquares.catalog"}),
-], ids=["gen-method1", "verify", "sweep-method1", "gen-method2"])
+     _UNUSED_BY_METHOD2),
+    (["sweep", "--n", "7", "--method", "2", "--max-sum", "8"],
+     _UNUSED_BY_METHOD2),
+], ids=["gen-method1", "verify", "sweep-method1", "gen-method2",
+        "sweep-method2"])
 def test_a_subcommand_loads_only_what_it_runs(argv, unloaded):
     loaded = _modules_loaded(_PROBE, system_to_json(generate_method1(5, 2)),
                              *argv)

@@ -281,3 +281,27 @@ def test_pipelines_validate_across_grid(point):
         except DegenerateParameterError:
             continue
         assert validate_system(system).ok
+
+
+def _outcome(pipeline, a, b):
+    """The system at (a, b), or the type of the DomainError it raises."""
+    try:
+        return pipeline(a, b)
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("pipeline", [pipeline_n5, pipeline_n6, pipeline_n7,
+                                      pipeline_n8])
+def test_pipelines_are_symmetric_in_the_pair(pipeline):
+    # the method-2 sweep prints the line of (p1, p2) again for (p2, p1),
+    # and builds the mirror of a degenerate point itself to log it
+    bound = range(-30, 31)
+    degenerate = 0
+    for a in bound:
+        for b in bound:
+            if a <= b:
+                got = _outcome(pipeline, a, b)
+                assert _outcome(pipeline, b, a) == got, (a, b)
+                degenerate += isinstance(got, type)
+    assert 0 < degenerate < len(bound) ** 2 // 4  # both outcomes seen
