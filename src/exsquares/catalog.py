@@ -30,6 +30,12 @@ from .seeds import DegenerateParameterError, SquareSystem
 from .evolve import generate_method1
 
 
+# The families whose values repeat roots by design: n5-method2-deg10 is
+# the n = 5 chain before its transform.  Every other family must give
+# n distinct roots, and catalog eval validates under this policy.
+REPEATS_BY_DESIGN = frozenset({"n5-method2-deg10"})
+
+
 class UnknownFamilyError(DomainError):
     """No catalog record under that id."""
 
@@ -168,7 +174,7 @@ def eval_family(fid: str, params) -> SquareSystem:
     Certificates not in the table are recovered from the exclusion
     sums, which must be perfect squares (they are, at every parameter
     point, or the table is corrupt).  Repeated roots are returned as
-    they are: the n5-method2-deg10 family has them by design.
+    they are: the families in REPEATS_BY_DESIGN have them by design.
     """
     record = get_family(fid)
     u, v = _point(record, params)

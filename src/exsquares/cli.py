@@ -3,9 +3,10 @@
 Subcommands: gen (construct one system), verify (validate the JSON
 systems of a file or stdin: one object, or a stream such as sweep's
 JSON lines, read a line at a time, one report per system), catalog
-(list / eval / cross-check the built-in families), sweep (JSON-lines
-stream over a parameter range; method 2 builds each unordered pair
-once).
+(list / eval / cross-check the built-in families; eval validates what
+it prints, as gen does, with repeats allowed only for the families in
+catalog.REPEATS_BY_DESIGN), sweep (JSON-lines stream over a parameter
+range; method 2 builds each unordered pair once).
 
 All big integers are serialized as decimal strings; the values exceed
 64-bit range by hundreds of bits and must survive any JSON reader.
@@ -118,15 +119,22 @@ def _generate(n, method, t, params):
     return _pipeline(n)(*params)
 
 
-def cmd_gen(args) -> int:
-    system = _generate(args.n, args.method, args.t, args.params)
-    report = validate_system(system)
+def _print_validated(system, what, require_distinct=True) -> int:
+    """Print the system's JSON if it validates, else report the failure
+    on stderr and print nothing; the exit code, 0 or 1."""
+    report = validate_system(system, require_distinct=require_distinct)
     if not report.ok:
-        print(f"internal error: generated system failed validation\n{report}",
+        print(f"internal error: {what} failed validation\n{report}",
               file=sys.stderr)
         return 1
     print(system_to_json(system))
     return 0
+
+
+def cmd_gen(args) -> int:
+    return _print_validated(
+        _generate(args.n, args.method, args.t, args.params),
+        "generated system")
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips
@@ -209,8 +217,9 @@ def cmd_catalog(args) -> int:
             params = args.params
         else:
             raise DomainError("catalog eval needs --params P1,P2 or --t T")
-        print(system_to_json(catalog.eval_family(args.id, params)))
-        return 0
+        return _print_validated(
+            catalog.eval_family(args.id, params), "catalog system",
+            require_distinct=args.id not in catalog.REPEATS_BY_DESIGN)
     report = catalog.cross_check(args.id)
     print(report)
     return 0 if report.ok else 1

@@ -32,7 +32,10 @@ of the chain is the same.  The method-2 sweep builds each unordered
 pair once on that account; test_derive pins the symmetry.
 
 Only the derivations use Fraction and Poly, so they import them where
-they run and a process that only runs pipelines loads neither.
+they run and a process that only runs pipelines loads neither.  The
+residual in a symbolic pair and its discriminant need only ring
+operations, so their Poly coefficients stay ints; a Fraction first
+appears at Fermat matching's square root.
 """
 
 from __future__ import annotations
@@ -278,12 +281,13 @@ def fermat_square(quartic):
     term must be a nonzero rational square).  What is left over is x^3
     times a linear form; its root, a Fraction, is returned.  The quartic
     is a Poly in x, as discriminant returns for a residual in a symbolic
-    pair (x : 1).
+    pair (x : 1); its coefficients are ints there, or Fractions where a
+    Fraction went in.  The divisions all go through the Fraction that
+    rational_sqrt returns, so the root is a Fraction either way.
     """
-    from fractions import Fraction
     if quartic.degree > 4 or quartic.degree < 0:
         raise DomainError("fermat_square expects degree <= 4")
-    c = list(quartic.coeffs) + [Fraction(0)] * (5 - len(quartic.coeffs))
+    c = list(quartic.coeffs) + [0] * (5 - len(quartic.coeffs))
     c0, c1, c2, c3, c4 = c
     g = rational_sqrt(c0)
     if g is None or g == 0:
@@ -402,7 +406,8 @@ _HOLE = (1, 0)  # placeholder for the unknown slot
 
 
 def _symbolic_pair():
-    """The projective pair (w : 1) in the polynomial ring Q[w]."""
+    """The projective pair (w : 1) in the polynomial ring Z[w]: the
+    residual's forms and their discriminant keep int coefficients."""
     from .polyfield import Poly, X
     return X, Poly([1])
 

@@ -1,12 +1,15 @@
 """Exact univariate polynomial arithmetic, no larger than its users need.
 
-``Poly`` is a dense, low-degree-first tuple of Fractions with ring
-operations, powers and evaluation.  The method-2 derivations run the
-residual over ``Poly`` in one dehomogenized parameter (second variable
-set to 1) to get the discriminant quartic that Fermat matching works
-on; seeds evaluated at ``X`` give the method-1 family as polynomials
-in t.  The catalog's coefficient tuples are plain ints, parsed and
-evaluated in :mod:`exsquares.catalog`.
+``Poly`` is a dense, low-degree-first coefficient tuple with ring
+operations, powers and evaluation.  Coefficients are int first: an int
+stays an int, and a coefficient becomes a ``Fraction`` only when a
+``Fraction`` operand brings one in, so integer work never pays for
+rational arithmetic.  The method-2 derivations run the residual over
+``Poly`` in one dehomogenized parameter (second variable set to 1) to
+get the discriminant quartic that Fermat matching works on; seeds
+evaluated at ``X`` give the method-1 family as polynomials in t.  The
+catalog's coefficient tuples are plain ints, parsed and evaluated in
+:mod:`exsquares.catalog`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactmath import DomainError
+
+
+def _rational(c):
+    """A non-int coefficient as a Fraction; DomainError for a float."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, float):
+        raise DomainError(f"inexact polynomial coefficient {c!r}")
+    return Fraction(c)
 
 
 def _coerce(v):
@@ -25,17 +37,21 @@ def _coerce(v):
 
 
 class Poly:
-    """Univariate polynomial over the rationals, low-degree-first.
+    """Univariate polynomial with int or Fraction coefficients,
+    low-degree-first.
 
-    Canonical form: no trailing zero coefficients; the zero polynomial
-    has an empty coefficient tuple.  Instances are immutable and
-    hashable, so (x, y) polynomial pairs can key dicts.
+    Int coefficients stay ints through +, -, *, ** and evaluation at an
+    int; any other rational becomes a Fraction, and a float raises
+    DomainError, so nothing inexact enters.  Canonical form: no
+    trailing zero coefficients; the zero polynomial has an empty
+    coefficient tuple.  Instances are immutable and hashable, so (x, y)
+    polynomial pairs can key dicts.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -53,7 +69,7 @@ class Poly:
     @property
     def lead(self):
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -105,7 +121,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -127,7 +143,7 @@ class Poly:
         return out
 
     def __call__(self, x):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -10,7 +10,7 @@ import pytest
 
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
 from oracles import lemma3_special
-from exsquares import cli
+from exsquares import catalog, cli
 from exsquares.cli import system_from_json, system_to_json
 from exsquares.exactmath import DomainError
 from exsquares.evolve import generate_method1
@@ -234,6 +234,58 @@ def test_catalog_list_and_eval():
 
     ev = run("catalog", "eval", "n5-method1-deg17", "--t", "2")
     assert sorted(int(r) for r in json.loads(ev.stdout)["roots"]) == M1_N5_T2
+
+
+def _catalog_eval_at_reference(fid):
+    """argv of catalog eval at the family's reference point, and the
+    point: t = 2 or (1, 2)."""
+    if catalog.get_family(fid).kind == "t":
+        return ["catalog", "eval", fid, "--t", "2"], 2
+    return ["catalog", "eval", fid, "--params", "1,2"], (1, 2)
+
+
+@pytest.mark.parametrize("fid", catalog.list_families())
+def test_catalog_eval_prints_a_system_valid_under_its_policy(fid, capsys):
+    argv, point = _catalog_eval_at_reference(fid)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    system = system_from_json(out)
+    assert out == system_to_json(catalog.eval_family(fid, point)) + "\n"
+    repeats = fid in catalog.REPEATS_BY_DESIGN
+    assert validate_system(system, require_distinct=not repeats).ok
+    assert system.distinct is not repeats
+
+
+def test_catalog_eval_exits_1_on_a_corrupt_evaluation(monkeypatch, capsys):
+    evaluate, planted = catalog.eval_family, []
+
+    def corrupt_root_4(fid, params):
+        system = evaluate(fid, params)
+        roots = list(system.roots)
+        roots[3] += 1
+        planted.append(system._replace(roots=tuple(roots)))
+        return planted[-1]
+
+    monkeypatch.setattr(catalog, "eval_family", corrupt_root_4)
+    code = cli.main(_catalog_eval_at_reference("n6-method2-deg38")[0])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    report = validate_system(planted[0])
+    assert not report.ok
+    assert err == ("internal error: catalog system failed validation\n"
+                   f"{report}\n")
+
+
+def test_catalog_eval_allows_repeats_only_by_policy(monkeypatch, capsys):
+    argv = _catalog_eval_at_reference("n5-method2-deg10")[0]
+    monkeypatch.setattr(catalog, "REPEATS_BY_DESIGN", frozenset())
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[1] == (
+        "[repeat] entry 4: |root| 127 repeats entry 1; "
+        "[repeat] entry 5: |root| 161 repeats entry 2")
 
 
 def test_catalog_cross_check():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -24,7 +25,8 @@ from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
                               n8_r_values, n8_s_values,
                               normalize_projective, pipeline_n5, pipeline_n6,
                               pipeline_n7, pipeline_n8, residual,
-                              solve_quadratic, vieta_second_root)
+                              solve_quadratic, vieta_second_root,
+                              _HOLE, _symbolic_pair)
 from exsquares.verify import validate_system
 
 # coprime, distinct, both coordinates 1..8: 42 evaluation points
@@ -188,9 +190,21 @@ def test_fermat_result_is_always_a_square_value():
             r = fermat_square(quartic)
         except (IdenticallySquareError, NoFermatRootError):
             continue
+        assert type(r) is Fraction
         assert rational_sqrt(quartic(r)) is not None
         found += 1
     assert found > 100
+
+
+def test_discriminant_quartics_have_int_coefficients():
+    # the residual in a symbolic pair needs only ring operations, so the
+    # quartic Fermat matching starts from is over the integers
+    for assignment, params, unknown in (
+            (ASSIGN_N5, (_symbolic_pair(), (1, 2), _HOLE), 2),
+            (ASSIGN_N6, ((1, 2), (1, 2), _symbolic_pair(), _HOLE), 3)):
+        quartic = discriminant(residual(assignment, params, unknown))
+        assert quartic.degree == 4
+        assert all(type(c) is int for c in quartic.coeffs)
 
 
 def test_fermat_rejects_non_square_anchor():
@@ -216,6 +230,23 @@ def test_rederive_n5_substitutions_on_grid():
         got = derive_n5(q1, q2)
         assert proportional(got["p"], n5_p_values(q1, q2))
         assert any(proportional(r, n5_r_values(q1, q2)) for r in got["r"])
+
+
+def test_rederive_n5_n6_are_pinned_on_a_square():
+    # sha256 of every result's repr, or error type and text, on
+    # [-12, 12]^2: pins the re-derivations whatever their scalar types
+    lines = []
+    for derive in (derive_n5, derive_n6):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                try:
+                    out = repr(derive(a, b))
+                except DomainError as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                lines.append(f"{derive.__name__}({a}, {b}) = {out}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == \
+        "66ff7c874a173af2877d3fb9a15c468ec94152d1a9f5feb5b9908e6c3b521f74"
 
 
 def test_rederive_n6_substitutions_on_grid():

@@ -186,7 +186,7 @@ def _content_reduce(sol):
             assert c.denominator == 1
             g = gcd(g, c.numerator)
     return ChainSolution.from_pairs(
-        (Poly(c / g for c in x.coeffs), Poly(c / g for c in y.coeffs))
+        (Poly(c // g for c in x.coeffs), Poly(c // g for c in y.coeffs))
         for x, y in sol.pairs)
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from exsquares.exactmath import DomainError
 from exsquares.polyfield import Poly, X
 
 coeff = st.integers(min_value=-50, max_value=50)
@@ -31,3 +33,43 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == Poly([0])
+
+
+def _int_coeffs(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+@given(polys, polys, st.integers(min_value=0, max_value=4), coeff)
+@settings(max_examples=60)
+def test_int_coefficients_stay_int(a, b, k, x):
+    for p in (a + b, a - b, a * b, -a, a ** k, 3 * a, a + 1, 1 - a):
+        assert _int_coeffs(p)
+    assert type(a.lead) is int
+    assert type(a(x)) is int
+
+
+def test_zero_polynomial_has_int_lead_and_value():
+    assert type(Poly().lead) is int and Poly().lead == 0
+    assert type(Poly()(7)) is int and Poly()(7) == 0
+
+
+def test_a_fraction_operand_promotes():
+    half = Fraction(1, 2)
+    p = X + Poly([1])
+    for q in (p * half, p * Poly([half]), p ** 2 * half):
+        assert all(type(c) is Fraction for c in q.coeffs)
+    assert (p * half).coeffs == (half, half)
+    # a coefficient promotes only where a Fraction reaches it
+    assert [type(c) for c in (p + half).coeffs] == [Fraction, int]
+    assert (half - p).coeffs == (Fraction(-1, 2), -1)
+    assert type(p(half)) is Fraction and p(half) == Fraction(3, 2)
+    # an integral Fraction stays a Fraction; equality still holds with ints
+    assert Poly([Fraction(2)]).coeffs == (Fraction(2),)
+    assert Poly([Fraction(2)]) == Poly([2])
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(DomainError, match="inexact polynomial coefficient"):
+        Poly([1, 0.5])
+    with pytest.raises(DomainError):
+        Poly([2.0])
