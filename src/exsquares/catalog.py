@@ -174,7 +174,8 @@ def eval_family(fid: str, params) -> SquareSystem:
     Certificates not in the table are recovered from the exclusion
     sums, which must be perfect squares (they are, at every parameter
     point, or the table is corrupt).  Repeated roots are returned as
-    they are: the families in REPEATS_BY_DESIGN have them by design.
+    they are only for the families in REPEATS_BY_DESIGN; anywhere else
+    they mark a degenerate point and raise DegenerateParameterError.
     """
     record = get_family(fid)
     u, v = _point(record, params)
@@ -198,7 +199,11 @@ def eval_family(fid: str, params) -> SquareSystem:
                     f"family {fid} table corrupt: exclusion sum {excl} "
                     f"is not a perfect square")
             ys.append(isqrt(excl))
-    return SquareSystem.from_pairs(zip(xs, ys))
+    system = SquareSystem.from_pairs(zip(xs, ys))
+    if not (system.distinct or fid in REPEATS_BY_DESIGN):
+        raise DegenerateParameterError(
+            f"family {fid} has repeated roots at {params}")
+    return system
 
 
 def _deg10_reference(q1, q2):

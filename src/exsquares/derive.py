@@ -31,17 +31,19 @@ swap, and n5_r_values' two forms are reverses), and the reduced system
 of the chain is the same.  The method-2 sweep builds each unordered
 pair once on that account; test_derive pins the symmetry.
 
-Only the derivations use Fraction and Poly, so they import them where
-they run and a process that only runs pipelines loads neither.  The
-residual in a symbolic pair and its discriminant need only ring
-operations, so their Poly coefficients stay ints; a Fraction first
-appears at Fermat matching's square root.
+The derivations compute over the integers: every form they build has
+int (or, in a symbolic pair, Z[w] Poly) entries, and the projective
+solvers take ints only.  The one Fraction is the root fermat_square
+returns, built by rational_sqrt, which derive_n5/derive_n6 split into
+numerator and denominator at once.  Only those two use Poly, so they
+import it where they run and a process that only runs pipelines loads
+neither Poly nor Fraction.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd
 
 from .exactmath import DomainError, is_perfect_square, isqrt, rational_sqrt
 from .identities import chain4, chain8, pair_norm
@@ -179,12 +181,18 @@ def residual(assignment: ChainAssignment, params, unknown: int) -> QuadraticForm
         params[unknown] = (u, v)
         return _residual_value(assignment, params)
 
+    form = _interpolate(at)
+    if form.A == 0 and form.B == 0 and form.C == 0:
+        raise DegenerateFormError("residual vanishes identically in this pair")
+    return form
+
+
+def _interpolate(at):
+    """The binary quadratic A*u^2 + B*u*v + C*v^2 that ``at(u, v)``
+    evaluates, pinned by its values at (1, 0), (0, 1) and (1, 1)."""
     a = at(1, 0)
     c = at(0, 1)
-    b = at(1, 1) - a - c
-    if a == 0 and b == 0 and c == 0:
-        raise DegenerateFormError("residual vanishes identically in this pair")
-    return QuadraticForm(a, b, c)
+    return QuadraticForm(a, at(1, 1) - a - c, c)
 
 
 def discriminant(form: QuadraticForm):
@@ -196,41 +204,26 @@ def discriminant(form: QuadraticForm):
 
 
 # ---------------------------------------------------------------------------
-# scalar square roots and projective normalization
+# projective normalization
 # ---------------------------------------------------------------------------
 
-def _scalar_sqrt(v):
-    if isinstance(v, int):
-        if v < 0 or not is_perfect_square(v):
-            return None
-        return isqrt(v)
-    from fractions import Fraction
-    if isinstance(v, Fraction):
-        return rational_sqrt(v)
-    raise DomainError(f"no square root defined for {type(v).__name__}")
-
-
 def normalize_projective(u, v):
-    """Canonical representative of (u : v) for integer or Fraction
-    entries: cleared to coprime integers, first nonzero entry positive.
+    """Canonical representative of (u : v) for integer entries: divided
+    by their gcd, first nonzero entry positive.
 
-    Any other scalar type raises DomainError.
+    Any other scalar type, Fraction included, raises DomainError, and
+    so does (0, 0).
     """
-    from fractions import Fraction
-    if not (isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction))):
+    if not (isinstance(u, int) and isinstance(v, int)):
         raise DomainError(
             f"no projective normal form for ({type(u).__name__}, "
             f"{type(v).__name__})")
-    fu, fv = Fraction(u), Fraction(v)
-    if fu == 0 and fv == 0:
+    if u == 0 and v == 0:
         raise DomainError("projective pair cannot be (0, 0)")
-    den = lcm(fu.denominator, fv.denominator)
-    a, b = int(fu * den), int(fv * den)
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if (a if a else b) < 0:
-        a, b = -a, -b
-    return a, b
+    g = gcd(u, v)
+    if (u if u else v) < 0:
+        g = -g
+    return u // g, v // g
 
 
 def _proportional(pair1, pair2):
@@ -242,11 +235,12 @@ def _proportional(pair1, pair2):
 # ---------------------------------------------------------------------------
 
 def solve_quadratic(form: QuadraticForm):
-    """Both projective roots of an integer or Fraction form, normalized.
+    """Both projective roots of an integer form, normalized.
 
     Linear case (A == 0): the finite root (-C : B) first, then the root
     at infinity (1, 0).  Quadratic case: needs the discriminant to be
-    an exact rational square, else NoRationalRootError.
+    an exact square, else NoRationalRootError; a discriminant that is
+    not an int (a Fraction or Poly form) raises DomainError.
     """
     if form.A == 0:
         if form.B == 0:
@@ -255,9 +249,11 @@ def solve_quadratic(form: QuadraticForm):
             return ((1, 0), (1, 0))
         return (normalize_projective(-form.C, form.B), (1, 0))
     disc = form.B * form.B - 4 * form.A * form.C
-    root = _scalar_sqrt(disc)
-    if root is None:
+    if not isinstance(disc, int):
+        raise DomainError(f"no square root defined for {type(disc).__name__}")
+    if not is_perfect_square(disc):
         raise NoRationalRootError("discriminant is not an exact square")
+    root = isqrt(disc)
     return (normalize_projective(-form.B + root, 2 * form.A),
             normalize_projective(-form.B - root, 2 * form.A))
 
@@ -278,12 +274,12 @@ def fermat_square(quartic):
 
     Matches the quartic against (q(x))^2 for a quadratic q fixed from
     the constant end: its x^0, x^1 and x^2 coefficients (the constant
-    term must be a nonzero rational square).  What is left over is x^3
-    times a linear form; its root, a Fraction, is returned.  The quartic
-    is a Poly in x, as discriminant returns for a residual in a symbolic
-    pair (x : 1); its coefficients are ints there, or Fractions where a
-    Fraction went in.  The divisions all go through the Fraction that
-    rational_sqrt returns, so the root is a Fraction either way.
+    term must be a nonzero square).  What is left over is x^3 times a
+    linear form; its root, a Fraction, is returned.  The quartic is an
+    int Poly in x, as discriminant returns for a residual in a
+    symbolic pair (x : 1).  The divisions all go through the Fraction
+    that rational_sqrt returns for the constant term's root: this is
+    the one place the derivations leave the integers.
     """
     if quartic.degree > 4 or quartic.degree < 0:
         raise DomainError("fermat_square expects degree <= 4")
@@ -346,18 +342,16 @@ def _odd_even_pair(p1, p2, odd, even):
     return p1 * acc1, p2 * acc2
 
 
-_N6_Q = ((1, 26, 184, 126, 2105, -2972, 7288, -5284, 2435, -94, 272, 6, 3),
-         (3, 6, 272, -94, 2435, -5284, 7288, -2972, 2105, 126, 184, 26, 1))
-
-_N7_Q = ((78125, 1399500, 8937610, 23564092, 78166867, 3600152, 182941900,
-          -64814760, 51621283, 17916188, 14166858, 2174060, 248125),
-         (248125, 2174060, 14166858, 17916188, 51621283, -64814760, 182941900,
-          3600152, 78166867, 23564092, 8937610, 1399500, 78125))
-
-_N8_Q = ((729, 11916, 68162, 165308, 512615, 324248, 968668, 148568, 481719,
-          168924, 114434, 18668, 2025),
-         (2025, 18668, 114434, 168924, 481719, 148568, 968668, 324248, 512615,
-          165308, 68162, 11916, 729))
+# Each q table is (odd, even), and the even coefficients are the odd
+# ones reversed: one literal per table, the pair built once here.
+_N6_ODD = (1, 26, 184, 126, 2105, -2972, 7288, -5284, 2435, -94, 272, 6, 3)
+_N7_ODD = (78125, 1399500, 8937610, 23564092, 78166867, 3600152, 182941900,
+           -64814760, 51621283, 17916188, 14166858, 2174060, 248125)
+_N8_ODD = (729, 11916, 68162, 165308, 512615, 324248, 968668, 148568, 481719,
+           168924, 114434, 18668, 2025)
+_N6_Q = (_N6_ODD, _N6_ODD[::-1])
+_N7_Q = (_N7_ODD, _N7_ODD[::-1])
+_N8_Q = (_N8_ODD, _N8_ODD[::-1])
 
 
 def n6_q_values(p1, p2):
@@ -452,16 +446,14 @@ def _derive_tail(assignment, p1, p2):
     solve the leftover linear equation for s, Vieta for q."""
     p = (p1, p2)
 
-    def s_lead(r):
-        return residual(assignment, (p, p, r, _HOLE), unknown=3).A
+    def s_lead(r1, r2):
+        return residual(assignment, (p, p, (r1, r2), _HOLE), unknown=3).A
 
-    a = s_lead((1, 0))
-    c = s_lead((0, 1))
-    b = s_lead((1, 1)) - a - c
-    if a != 0:
+    lead = _interpolate(s_lead)
+    if lead.A != 0:
         raise DegenerateFormError(
             "expected the r1^2 part of the s-leading coefficient to vanish")
-    r = normalize_projective(-c, b)
+    r = normalize_projective(-lead.C, lead.B)
     form_s = residual(assignment, (p, p, r, _HOLE), unknown=3)
     if form_s.A != 0:
         raise DegenerateFormError("s-quadratic did not collapse to linear")

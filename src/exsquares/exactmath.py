@@ -1,7 +1,9 @@
 """Exact integer and rational primitives used throughout the package.
 
 Everything here is arbitrary precision and never rounds: Python ints carry
-the integer arithmetic and ``fractions.Fraction`` carries the rationals.
+the arithmetic.  The package's one rational is the root that Fermat
+matching (``derive.fermat_square``) builds through ``rational_sqrt``, the
+only code here that makes a ``fractions.Fraction``.
 """
 
 from __future__ import annotations

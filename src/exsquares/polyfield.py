@@ -1,57 +1,51 @@
-"""Exact univariate polynomial arithmetic, no larger than its users need.
+"""Exact univariate polynomial arithmetic over the integers, no larger
+than its users need.
 
-``Poly`` is a dense, low-degree-first coefficient tuple with ring
-operations, powers and evaluation.  Coefficients are int first: an int
-stays an int, and a coefficient becomes a ``Fraction`` only when a
-``Fraction`` operand brings one in, so integer work never pays for
-rational arithmetic.  The method-2 derivations run the residual over
-``Poly`` in one dehomogenized parameter (second variable set to 1) to
-get the discriminant quartic that Fermat matching works on; seeds
-evaluated at ``X`` give the method-1 family as polynomials in t.  The
-catalog's coefficient tuples are plain ints, parsed and evaluated in
+``Poly`` is Z[x]: a dense, low-degree-first tuple of int coefficients
+with ring operations, powers and evaluation.  A coefficient that is not
+an int raises DomainError, so nothing rational or inexact enters; a
+polynomial evaluated at a ``Fraction`` point still returns a
+``Fraction``, which is how Fermat matching checks its root.  The
+method-2 derivations run the residual over ``Poly`` in one
+dehomogenized parameter (second variable set to 1) to get the
+discriminant quartic that Fermat matching works on; seeds evaluated at
+``X`` give the method-1 family as polynomials in t.  The catalog's
+coefficient tuples are plain ints, parsed and evaluated in
 :mod:`exsquares.catalog`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactmath import DomainError
-
-
-def _rational(c):
-    """A non-int coefficient as a Fraction; DomainError for a float."""
-    if type(c) is Fraction:
-        return c
-    if isinstance(c, float):
-        raise DomainError(f"inexact polynomial coefficient {c!r}")
-    return Fraction(c)
 
 
 def _coerce(v):
     if isinstance(v, Poly):
         return v
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         return Poly([v])
     return NotImplemented
 
 
 class Poly:
-    """Univariate polynomial with int or Fraction coefficients,
-    low-degree-first.
+    """Univariate polynomial with int coefficients, low-degree-first.
 
-    Int coefficients stay ints through +, -, *, ** and evaluation at an
-    int; any other rational becomes a Fraction, and a float raises
-    DomainError, so nothing inexact enters.  Canonical form: no
-    trailing zero coefficients; the zero polynomial has an empty
-    coefficient tuple.  Instances are immutable and hashable, so (x, y)
-    polynomial pairs can key dicts.
+    Only ints are coefficients: any other value raises DomainError,
+    a float as an inexact one.  Evaluation works at any scalar, so a
+    Fraction point gives a Fraction.  Canonical form: no trailing zero
+    coefficients; the zero polynomial has an empty coefficient tuple.
+    Instances are immutable and hashable, so (x, y) polynomial pairs
+    can key dicts.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int else _rational(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                kind = "inexact" if isinstance(c, float) else "non-integer"
+                raise DomainError(f"{kind} polynomial coefficient {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

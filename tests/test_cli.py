@@ -278,14 +278,27 @@ def test_catalog_eval_exits_1_on_a_corrupt_evaluation(monkeypatch, capsys):
 
 
 def test_catalog_eval_allows_repeats_only_by_policy(monkeypatch, capsys):
+    # outside the policy, repeated roots mark a degenerate point
     argv = _catalog_eval_at_reference("n5-method2-deg10")[0]
     monkeypatch.setattr(catalog, "REPEATS_BY_DESIGN", frozenset())
-    assert cli.main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines()[1] == (
-        "[repeat] entry 4: |root| 127 repeats entry 1; "
-        "[repeat] entry 5: |root| 161 repeats entry 2")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: family n5-method2-deg10 has repeated roots at (1, 2)\n"))
+
+
+@pytest.mark.parametrize("fid, flag, value, point", [
+    ("n5-method1-deg17", "--t", "1", "1"),
+    ("n5-method1-deg17", "--t", "-1", "-1"),
+    ("n5-method2-deg30", "--params", "0,1", "(0, 1)"),
+    ("n5-method2-deg30", "--params", "2,0", "(2, 0)"),
+])
+def test_catalog_eval_degenerate_point_exits_2(fid, flag, value, point,
+                                               capsys):
+    # the family's roots repeat there, as gen's do at the same kind of
+    # point: a DegenerateParameterError, not a validation failure
+    assert cli.main(["catalog", "eval", fid, flag, value]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: family {fid} has repeated roots at {point}\n")
 
 
 def test_catalog_cross_check():

@@ -137,12 +137,18 @@ def test_solve_quadratic_irrational():
 
 
 def test_solve_quadratic_polynomial_coefficients():
-    # the solvers work over int and Fraction only; a polynomial
-    # discriminant has no square root there
+    # the solvers work over int only; a polynomial discriminant has no
+    # square root there
     one = Poly([1])
     form = QuadraticForm(one, -(2 * X + one), X * (X + one))
     with pytest.raises(DomainError):
         solve_quadratic(form)
+
+
+def test_solve_quadratic_rejects_a_fraction_form():
+    with pytest.raises(DomainError,
+                       match="no square root defined for Fraction"):
+        solve_quadratic(QuadraticForm(Fraction(1), 0, -1))
 
 
 def test_vieta_second_root():
@@ -157,7 +163,8 @@ def test_normalize_projective():
     assert normalize_projective(36, 63) == (4, 7)
     assert normalize_projective(-4, -6) == (2, 3)
     assert normalize_projective(0, -5) == (0, 1)
-    assert normalize_projective(Fraction(3, 4), Fraction(-5, 6)) == (9, -10)
+    with pytest.raises(DomainError, match=r"\(Fraction, Fraction\)"):
+        normalize_projective(Fraction(3, 4), Fraction(-5, 6))
     with pytest.raises(DomainError):
         normalize_projective(4 * X, 2 * X * X)
     with pytest.raises(DomainError):
@@ -232,11 +239,11 @@ def test_rederive_n5_substitutions_on_grid():
         assert any(proportional(r, n5_r_values(q1, q2)) for r in got["r"])
 
 
-def test_rederive_n5_n6_are_pinned_on_a_square():
-    # sha256 of every result's repr, or error type and text, on
-    # [-12, 12]^2: pins the re-derivations whatever their scalar types
+def _rederive_digest(*derives):
+    """sha256 of every result's repr, or error type and text, on
+    [-12, 12]^2: pins the re-derivations whatever their scalar types."""
     lines = []
-    for derive in (derive_n5, derive_n6):
+    for derive in derives:
         for a in range(-12, 13):
             for b in range(-12, 13):
                 try:
@@ -244,9 +251,18 @@ def test_rederive_n5_n6_are_pinned_on_a_square():
                 except DomainError as exc:
                     out = f"{type(exc).__name__}: {exc}"
                 lines.append(f"{derive.__name__}({a}, {b}) = {out}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == \
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_rederive_n5_n6_are_pinned_on_a_square():
+    assert _rederive_digest(derive_n5, derive_n6) == \
         "66ff7c874a173af2877d3fb9a15c468ec94152d1a9f5feb5b9908e6c3b521f74"
+
+
+def test_rederive_n7_n8_are_pinned_on_a_square():
+    # 1,250 calls: 1,152 results and 98 errors, degenerate pairs included
+    assert _rederive_digest(derive_n7, derive_n8) == \
+        "8f9d599289a18feab1ee2cc2df85ab7adad249ee58b0800f959e56e294d12993"
 
 
 def test_rederive_n6_substitutions_on_grid():

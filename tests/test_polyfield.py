@@ -53,19 +53,16 @@ def test_zero_polynomial_has_int_lead_and_value():
     assert type(Poly()(7)) is int and Poly()(7) == 0
 
 
-def test_a_fraction_operand_promotes():
+def test_fraction_coefficients_are_rejected():
+    # Poly is Z[x]: a Fraction coefficient, even an integral one, raises
     half = Fraction(1, 2)
+    for coeffs in ([1, half], [Fraction(2)]):
+        with pytest.raises(DomainError, match="non-integer polynomial "
+                                              "coefficient"):
+            Poly(coeffs)
+    # evaluation at a Fraction point still gives a Fraction
     p = X + Poly([1])
-    for q in (p * half, p * Poly([half]), p ** 2 * half):
-        assert all(type(c) is Fraction for c in q.coeffs)
-    assert (p * half).coeffs == (half, half)
-    # a coefficient promotes only where a Fraction reaches it
-    assert [type(c) for c in (p + half).coeffs] == [Fraction, int]
-    assert (half - p).coeffs == (Fraction(-1, 2), -1)
     assert type(p(half)) is Fraction and p(half) == Fraction(3, 2)
-    # an integral Fraction stays a Fraction; equality still holds with ints
-    assert Poly([Fraction(2)]).coeffs == (Fraction(2),)
-    assert Poly([Fraction(2)]) == Poly([2])
 
 
 def test_float_coefficients_are_rejected():
