@@ -23,7 +23,7 @@ print(f"  B = {form.B}")
 print(f"  C = {form.C}")
 
 quartic = discriminant(form)
-print("its discriminant is a quartic in p1/p2; a rational point where")
+print("its discriminant is a quartic in p1/p2; a point (p1 : p2) where")
 print("it turns square:", fermat_square(quartic))
 print()
 

@@ -5,9 +5,8 @@ Two constructions are provided: seed a short solution family and grow
 it with a norm-preserving linear transform until all entries are
 distinct (method 1), or assign two-squares chain products to the
 entries and solve the resulting quadratic conditions exactly
-(method 2).  Everything is exact integer and rational arithmetic, and
-every produced system carries certificates checkable by
-verify.validate_system.
+(method 2).  Everything is exact integer arithmetic, and every
+produced system carries certificates checkable by verify.validate_system.
 
 The names in __all__ are resolved on first access (PEP 562), so
 importing the package loads none of its modules.

@@ -207,15 +207,16 @@ def eval_family(fid: str, params) -> SquareSystem:
 
 
 def _deg10_reference(q1, q2):
-    from . import derive
-    params = (derive.n5_p_values(q1, q2), (q1, q2), derive.n5_r_values(q1, q2))
-    pairs = derive.assignment_pairs(derive.ASSIGN_N5, params)
+    """The n = 5 chain pairs before the pipeline's transform."""
+    from .derive import PIPELINES, assignment_pairs
+    n5 = PIPELINES[5]
+    pairs = assignment_pairs(n5.assignment, [b(q1, q2) for b in n5.builders])
     return sorted(SquareSystem.from_pairs(pairs).roots)
 
 
 def _pipeline_roots(n, pq):
-    from . import derive
-    return sorted(getattr(derive, f"pipeline_n{n}")(*pq).roots)
+    from .derive import pipeline
+    return sorted(pipeline(n, *pq).roots)
 
 
 _T_POINTS = tuple(range(2, 12))

@@ -29,8 +29,6 @@ from .evolve import generate_method1
 from .verify import Report, Violation, validate_system
 
 # derive and catalog are imported only by the code that runs them
-_PIPELINE_NS = (5, 6, 7, 8)
-
 GEN_NS = range(3, 9)
 
 
@@ -100,15 +98,6 @@ def _parse_range(text: str):
     return lo, hi
 
 
-def _pipeline(n):
-    """derive's pipeline_n<n>; DomainError for an n without one."""
-    if n not in _PIPELINE_NS:
-        raise DomainError(
-            f"method 2 has built-in pipelines for n in {list(_PIPELINE_NS)}")
-    from . import derive
-    return getattr(derive, f"pipeline_n{n}")
-
-
 def _generate(n, method, t, params):
     if method == 1:
         if t is None:
@@ -116,7 +105,8 @@ def _generate(n, method, t, params):
         return generate_method1(n, t)
     if params is None:
         raise DomainError("method 2 needs --params P1,P2")
-    return _pipeline(n)(*params)
+    from .derive import pipeline
+    return pipeline(n, *params)
 
 
 def _print_validated(system, what, require_distinct=True) -> int:
@@ -236,14 +226,15 @@ def _sweep_points(args):
         return range(lo, hi + 1)
     if args.max_sum is None:
         raise DomainError("method 2 sweeps need --max-sum N")
-    _pipeline(args.n)
+    from .derive import pipeline_entry
+    pipeline_entry(args.n)
     return ((p1, total - p1) for total in range(2, args.max_sum + 1)
             for p1 in range(1, total) if math.gcd(p1, total - p1) == 1)
 
 
 def cmd_sweep(args) -> int:
     failed = False
-    # Method 2: pipeline_n(p1, p2) == pipeline_n(p2, p1) (see derive), and
+    # Method 2: pipeline(n, p1, p2) == pipeline(n, p2, p1) (see derive), and
     # (p2, p1) follows (p1, p2) in the same p1 + p2 block, so the line of
     # a validated (p1, p2) with p1 < p2 waits here, keyed by its mirror,
     # and is printed again there: at most max-sum / 2 lines are held.

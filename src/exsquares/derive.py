@@ -23,7 +23,7 @@ The closed-form substitutions the pipelines use (*_values functions)
 are fixed data; the derive_n* functions re-derive them from the solver
 machinery so tests can confirm the tables against the engine.
 
-Every pipeline is symmetric, pipeline_n(p1, p2) == pipeline_n(p2, p1):
+Every pipeline is symmetric, pipeline(n, p1, p2) == pipeline(n, p2, p1):
 the swap reverses or conjugates each parameter pair the pipeline
 derives (the odd and even q tables are each other's reverse, one
 component of each of p, r and s is even and the other odd under the
@@ -31,13 +31,18 @@ swap, and n5_r_values' two forms are reverses), and the reduced system
 of the chain is the same.  The method-2 sweep builds each unordered
 pair once on that account; test_derive pins the symmetry.
 
-The derivations compute over the integers: every form they build has
-int (or, in a symbolic pair, Z[w] Poly) entries, and the projective
-solvers take ints only.  The one Fraction is the root fermat_square
-returns, built by rational_sqrt, which derive_n5/derive_n6 split into
-numerator and denominator at once.  Only those two use Poly, so they
-import it where they run and a process that only runs pipelines loads
-neither Poly nor Fraction.
+The derivations never leave the integers: every form they build has
+int (or, in a symbolic pair, Z[w] Poly) entries, the projective
+solvers take ints only, and fermat_square matches on scaled integers
+and returns an int pair.  Only derive_n5/derive_n6 use Poly, so they
+import it where they run and a process that only runs pipelines does
+not load it.
+
+PIPELINES is the one table of method-2 constructions: for each n, the
+chain assignment, one builder per chain parameter (each a function of
+the pair, generic over its scalars), whether the chain takes one
+transform, and the pair's name in messages.  pipeline(n, u, v) runs an
+entry; pipeline_n5..pipeline_n8 are its fixed-n wrappers.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .exactmath import DomainError, is_perfect_square, isqrt, rational_sqrt
+from .exactmath import DomainError, is_perfect_square, isqrt
 from .identities import chain4, chain8, pair_norm
 from .seeds import ChainSolution, DegenerateParameterError, SquareSystem
 from .evolve import finalize_system, transform
@@ -270,38 +275,37 @@ def vieta_second_root(form: QuadraticForm, known):
 
 
 def fermat_square(quartic):
-    """A rational point where the quartic's value is a perfect square.
+    """A point (u : v) where the quartic's value is a perfect square.
 
     Matches the quartic against (q(x))^2 for a quadratic q fixed from
     the constant end: its x^0, x^1 and x^2 coefficients (the constant
-    term must be a nonzero square).  What is left over is x^3 times a
-    linear form; its root, a Fraction, is returned.  The quartic is an
-    int Poly in x, as discriminant returns for a residual in a
-    symbolic pair (x : 1).  The divisions all go through the Fraction
-    that rational_sqrt returns for the constant term's root: this is
-    the one place the derivations leave the integers.
+    term c0 must be a nonzero square).  What is left over is x^3 times
+    a linear form, and its root is returned as a normalized int pair.
+    The quartic is an int Poly in x, as discriminant returns for a
+    residual in a symbolic pair (x : 1).  Scaled by 64*c0^3, the
+    matching needs no division: with H = 4*c0*c2 - c1^2 the root is
+    (8*c0*c1*H - 64*c0^3*c3 : 64*c0^3*c4 - H^2).
     """
     if quartic.degree > 4 or quartic.degree < 0:
         raise DomainError("fermat_square expects degree <= 4")
     c = list(quartic.coeffs) + [0] * (5 - len(quartic.coeffs))
     c0, c1, c2, c3, c4 = c
-    g = rational_sqrt(c0)
-    if g is None or g == 0:
+    if c0 == 0 or not is_perfect_square(c0):
         raise UnsupportedQuarticError(
             f"const coefficient {c0} is not a nonzero rational square")
-    b = c1 / (2 * g)
-    h = (c2 - b * b) / (2 * g)
-    den = c4 - h * h
-    num = 2 * h * b - c3
+    h = 4 * c0 * c2 - c1 * c1
+    cube = 64 * c0 ** 3
+    num = 8 * c0 * c1 * h - cube * c3
+    den = cube * c4 - h * h
     if den == 0:
         if num == 0:
             raise IdenticallySquareError("quartic is already a square")
         raise NoFermatRootError("matching leaves no linear equation to solve")
-    root = num / den
-    value = quartic(root)
-    if rational_sqrt(value) is None:
+    u, v = normalize_projective(num, den)
+    if not is_perfect_square(c0 * v ** 4 + c1 * u * v ** 3 + c2 * u * u * v * v
+                             + c3 * u ** 3 * v + c4 * u ** 4):
         raise NoFermatRootError("matched value failed the square check")
-    return root
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +419,7 @@ def derive_n5(q1: int, q2: int):
     form_p = residual(ASSIGN_N5, (_symbolic_pair(), (q1, q2), _HOLE),
                       unknown=2)
     quartic = discriminant(form_p)
-    w = fermat_square(quartic)
-    p = normalize_projective(w.numerator, w.denominator)
+    p = fermat_square(quartic)
     form_r = residual(ASSIGN_N5, (p, (q1, q2), _HOLE), unknown=2)
     return {"p": p, "r": solve_quadratic(form_r)}
 
@@ -430,8 +433,7 @@ def derive_n6(p1: int, p2: int):
     p = (p1, p2)
     form_r = residual(ASSIGN_N6, (p, p, _symbolic_pair(), _HOLE), unknown=3)
     quartic = discriminant(form_r)
-    w = fermat_square(quartic)
-    r = normalize_projective(w.numerator, w.denominator)
+    r = fermat_square(quartic)
     form_s = residual(ASSIGN_N6, (p, p, r, _HOLE), unknown=3)
     s_roots = solve_quadratic(form_s)
     s = s_roots[0] if _proportional(s_roots[0], n6_s_values(p1, p2)) \
@@ -475,46 +477,64 @@ def derive_n8(p1: int, p2: int):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _prepare(u, v, name):
+def _pair(u, v):
+    return u, v
+
+
+Pipeline = namedtuple("Pipeline", "assignment builders transform_once name")
+
+PIPELINES = {
+    5: Pipeline(ASSIGN_N5, (n5_p_values, _pair, n5_r_values), True,
+                "(q1, q2)"),
+    6: Pipeline(ASSIGN_N6, (_pair, n6_q_values, n6_r_values, n6_s_values),
+                False, "(p1, p2)"),
+    7: Pipeline(ASSIGN_N7, (_pair, n7_q_values, n7_r_values, n7_s_values),
+                True, "(p1, p2)"),
+    8: Pipeline(ASSIGN_N8, (_pair, n8_q_values, n8_r_values, n8_s_values),
+                True, "(p1, p2)"),
+}
+
+
+def pipeline_entry(n) -> Pipeline:
+    """PIPELINES[n]; DomainError for an n without a pipeline."""
+    try:
+        return PIPELINES[n]
+    except KeyError:
+        raise DomainError(f"method 2 has built-in pipelines for n in "
+                          f"{list(PIPELINES)}") from None
+
+
+def pipeline(n: int, u: int, v: int) -> SquareSystem:
+    """n squares from PIPELINES[n] at the pair (u, v), taken in lowest
+    terms: each builder gives one chain parameter, the assignment picks
+    the slots, and the chain takes one transform if the entry says so."""
+    assignment, builders, transform_once, name = pipeline_entry(n)
     if (u, v) == (0, 0):
         raise DegenerateParameterError(f"{name} must not be (0, 0)")
     g = gcd(u, v)
-    return u // g, v // g
-
-
-def _run(assignment, params, transform_once, label):
+    u, v = u // g, v // g
+    params = [build(u, v) for build in builders]
     sol = ChainSolution.from_pairs(assignment_pairs(assignment, params))
     if transform_once:
         sol = transform(sol)
-    return finalize_system(sol.pairs, assignment.n, label)
+    return finalize_system(sol.pairs, n, f"{name}=({u}, {v})")
 
 
 def pipeline_n5(q1: int, q2: int) -> SquareSystem:
     """Five squares from the 4-member chain route."""
-    q1, q2 = _prepare(q1, q2, "(q1, q2)")
-    params = (n5_p_values(q1, q2), (q1, q2), n5_r_values(q1, q2))
-    return _run(ASSIGN_N5, params, True, f"(q1, q2)=({q1}, {q2})")
+    return pipeline(5, q1, q2)
 
 
 def pipeline_n6(p1: int, p2: int) -> SquareSystem:
     """Six squares from the 8-member chain route (no transform step)."""
-    p1, p2 = _prepare(p1, p2, "(p1, p2)")
-    params = ((p1, p2), n6_q_values(p1, p2), n6_r_values(p1, p2),
-              n6_s_values(p1, p2))
-    return _run(ASSIGN_N6, params, False, f"(p1, p2)=({p1}, {p2})")
+    return pipeline(6, p1, p2)
 
 
 def pipeline_n7(p1: int, p2: int) -> SquareSystem:
     """Seven squares from the 8-member chain route."""
-    p1, p2 = _prepare(p1, p2, "(p1, p2)")
-    params = ((p1, p2), n7_q_values(p1, p2), n7_r_values(p1, p2),
-              n7_s_values(p1, p2))
-    return _run(ASSIGN_N7, params, True, f"(p1, p2)=({p1}, {p2})")
+    return pipeline(7, p1, p2)
 
 
 def pipeline_n8(p1: int, p2: int) -> SquareSystem:
     """Eight squares from the 8-member chain route."""
-    p1, p2 = _prepare(p1, p2, "(p1, p2)")
-    params = ((p1, p2), n8_q_values(p1, p2), n8_r_values(p1, p2),
-              n8_s_values(p1, p2))
-    return _run(ASSIGN_N8, params, True, f"(p1, p2)=({p1}, {p2})")
+    return pipeline(8, p1, p2)

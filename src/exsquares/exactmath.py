@@ -1,9 +1,9 @@
-"""Exact integer and rational primitives used throughout the package.
+"""Exact integer primitives used throughout the package.
 
 Everything here is arbitrary precision and never rounds: Python ints carry
-the arithmetic.  The package's one rational is the root that Fermat
-matching (``derive.fermat_square``) builds through ``rational_sqrt``, the
-only code here that makes a ``fractions.Fraction``.
+the arithmetic.  The package makes no rational: Fermat matching
+(``derive.fermat_square``) scales its quartic to integers and checks its
+root with ``is_perfect_square``.
 """
 
 from __future__ import annotations
@@ -31,21 +31,6 @@ def is_perfect_square(v: int) -> bool:
         return False
     r = math.isqrt(v)
     return r * r == v
-
-
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if it is not a square.
-
-    Fraction keeps num/den coprime, so both parts must be squares.
-    """
-    from fractions import Fraction  # only the derivations need it
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def vec_gcd(values) -> int:

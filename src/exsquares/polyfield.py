@@ -3,14 +3,13 @@ than its users need.
 
 ``Poly`` is Z[x]: a dense, low-degree-first tuple of int coefficients
 with ring operations, powers and evaluation.  A coefficient that is not
-an int raises DomainError, so nothing rational or inexact enters; a
-polynomial evaluated at a ``Fraction`` point still returns a
-``Fraction``, which is how Fermat matching checks its root.  The
+an int raises DomainError, so nothing rational or inexact enters.  The
 method-2 derivations run the residual over ``Poly`` in one
 dehomogenized parameter (second variable set to 1) to get the
-discriminant quartic that Fermat matching works on; seeds evaluated at
-``X`` give the method-1 family as polynomials in t.  The catalog's
-coefficient tuples are plain ints, parsed and evaluated in
+discriminant quartic that Fermat matching works on; it reads the five
+coefficients and never evaluates a ``Poly`` at a ``Fraction``.  Seeds
+evaluated at ``X`` give the method-1 family as polynomials in t.  The
+catalog's coefficient tuples are plain ints, parsed and evaluated in
 :mod:`exsquares.catalog`.
 """
 

@@ -3,13 +3,20 @@
 None of these runs in a command.  They check the package from outside:
 inverse_transform undoes evolve.transform, lemma3_special is the
 paper's n = m^2 + 1 family, chain4_norm and chain8_norm give the common
-norm of identities.chain4 and chain8, and validate_system_3n is the
-validator as it was before it squared each root once.
+norm of identities.chain4 and chain8, validate_system_3n is the
+validator as it was before it squared each root once, and
+fermat_square_fraction is Fermat matching as it was before it ran on
+scaled integers: over Fraction, with rational_sqrt.
 
 tests/test_acceptance.py imports the first four from the package
 modules they used to live in; conftest.py binds them there.
 """
 
+import math
+from fractions import Fraction
+
+from exsquares.derive import (IdenticallySquareError, NoFermatRootError,
+                              UnsupportedQuarticError)
 from exsquares.exactmath import DomainError, is_perfect_square
 from exsquares.identities import pair_norm
 from exsquares.seeds import ChainSolution, _require_nonzero
@@ -106,3 +113,43 @@ def validate_system_3n(sys, require_distinct=True):
             else:
                 seen[key] = i
     return _report(out)
+
+
+def rational_sqrt(x):
+    """Exact square root of a rational, or None if it is not a square.
+
+    Fraction keeps num/den coprime, so both parts must be squares.
+    """
+    if x < 0:
+        return None
+    n, d = x.numerator, x.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def fermat_square_fraction(quartic):
+    """derive.fermat_square over Fraction: the root as a Fraction, with
+    the same errors.  The quadratic matched from the constant end has
+    coefficients g = sqrt(c0), b and h."""
+    if quartic.degree > 4 or quartic.degree < 0:
+        raise DomainError("fermat_square expects degree <= 4")
+    c = list(quartic.coeffs) + [0] * (5 - len(quartic.coeffs))
+    c0, c1, c2, c3, c4 = c
+    g = rational_sqrt(c0)
+    if g is None or g == 0:
+        raise UnsupportedQuarticError(
+            f"const coefficient {c0} is not a nonzero rational square")
+    b = c1 / (2 * g)
+    h = (c2 - b * b) / (2 * g)
+    den = c4 - h * h
+    num = 2 * h * b - c3
+    if den == 0:
+        if num == 0:
+            raise IdenticallySquareError("quartic is already a square")
+        raise NoFermatRootError("matching leaves no linear equation to solve")
+    root = num / den
+    if rational_sqrt(quartic(root)) is None:
+        raise NoFermatRootError("matched value failed the square check")
+    return root

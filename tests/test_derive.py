@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M2_N5_12, M2_N6_12, M2_N7_21, M2_N8_21
-from oracles import chain4_norm
-from exsquares.exactmath import DomainError, rational_sqrt, vec_gcd
+from oracles import chain4_norm, fermat_square_fraction
+from exsquares.exactmath import DomainError, is_perfect_square, vec_gcd
 from exsquares.identities import chain4
 from exsquares.polyfield import Poly, X
 from exsquares.seeds import DegenerateParameterError
 from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
-                              ChainAssignment, DegenerateFormError,
+                              PIPELINES, ChainAssignment, DegenerateFormError,
                               IdenticallySquareError, NoFermatRootError,
                               NoRationalRootError, QuadraticForm,
                               UnsupportedQuarticError, assignment_pairs,
@@ -23,8 +23,8 @@ from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
                               n6_r_values, n6_s_values, n7_q_values,
                               n7_r_values, n7_s_values, n8_q_values,
                               n8_r_values, n8_s_values,
-                              normalize_projective, pipeline_n5, pipeline_n6,
-                              pipeline_n7, pipeline_n8, residual,
+                              normalize_projective, pipeline, pipeline_n5,
+                              pipeline_n6, pipeline_n7, pipeline_n8, residual,
                               solve_quadratic, vieta_second_root,
                               _HOLE, _symbolic_pair)
 from exsquares.verify import validate_system
@@ -98,10 +98,12 @@ def test_residual_is_the_actual_square_deficit():
 
 
 def test_residual_vanishes_on_solved_configuration():
+    n5 = PIPELINES[5]
     for q1, q2 in ((1, 2), (2, 3), (1, 4)):
-        params = (n5_p_values(q1, q2), (q1, q2), n5_r_values(q1, q2))
+        params = [build(q1, q2) for build in n5.builders]
+        assert params == [n5_p_values(q1, q2), (q1, q2), n5_r_values(q1, q2)]
         for unknown in range(3):
-            form = residual(ASSIGN_N5, params, unknown)
+            form = residual(n5.assignment, params, unknown)
             assert form(*params[unknown]) == 0
 
 
@@ -173,20 +175,25 @@ def test_normalize_projective():
 
 # --- Fermat square matching ------------------------------------------------
 
+def _homogenized(quartic, u, v):
+    """v^4 * quartic(u / v), over the integers."""
+    return sum(c * u ** k * v ** (4 - k) for k, c in enumerate(quartic.coeffs))
+
+
 def test_fermat_known_roots():
     # (3x+1)^2 + x^3 (x-5): matching from the constant end finds x = 5
     const = X ** 4 - 5 * X ** 3 + 9 * X * X + 6 * X + Poly([1])
-    r = fermat_square(const)
-    assert r == 5
-    assert const(r) == 256
+    assert fermat_square(const) == (5, 1)
+    assert const(5) == 256
     # (x^2-2x+2)^2 + x^3 (3x-1) = 4x^4 - 5x^3 + 8x^2 - 8x + 4: x = 1/3
     other = Poly([4, -8, 8, -5, 4])
-    r = fermat_square(other)
-    assert r == Fraction(1, 3)
-    assert rational_sqrt(other(r)) == Fraction(13, 9)
+    assert fermat_square(other) == (1, 3)
+    assert _homogenized(other, 1, 3) == 13 ** 2
 
 
 def test_fermat_result_is_always_a_square_value():
+    # the integer matching agrees with the Fraction oracle: the same
+    # root, normalized, or the same error
     rng = random.Random(23)
     found = 0
     for _ in range(300):
@@ -194,11 +201,14 @@ def test_fermat_result_is_always_a_square_value():
         cs = [g * g] + [rng.randint(-9, 9) for _ in range(4)]
         quartic = Poly(cs)
         try:
-            r = fermat_square(quartic)
-        except (IdenticallySquareError, NoFermatRootError):
+            want = fermat_square_fraction(quartic)
+        except (IdenticallySquareError, NoFermatRootError) as exc:
+            with pytest.raises(type(exc)):
+                fermat_square(quartic)
             continue
-        assert type(r) is Fraction
-        assert rational_sqrt(quartic(r)) is not None
+        r = fermat_square(quartic)
+        assert r == normalize_projective(want.numerator, want.denominator)
+        assert is_perfect_square(_homogenized(quartic, *r))
         found += 1
     assert found > 100
 
@@ -318,29 +328,46 @@ def test_pipeline_degenerate_parameters():
         pipeline_n6(1, 1)
 
 
+def test_pipeline_table_and_wrappers_agree():
+    wrappers = {5: pipeline_n5, 6: pipeline_n6, 7: pipeline_n7, 8: pipeline_n8}
+    assert list(PIPELINES) == list(wrappers)
+    for n, entry in PIPELINES.items():
+        assert entry.assignment.n == n
+        assert len(entry.builders) == (3 if entry.assignment.chain_size == 4
+                                       else 4)
+        assert wrappers[n](3, 5) == pipeline(n, 3, 5)
+
+
+def test_pipeline_outside_the_table():
+    for n in (4, 9):
+        with pytest.raises(DomainError, match=r"^method 2 has built-in "
+                           r"pipelines for n in \[5, 6, 7, 8\]$"):
+            pipeline(n, 1, 2)
+
+
 @given(st.sampled_from(GRID))
 @settings(max_examples=42)
 def test_pipelines_validate_across_grid(point):
     p1, p2 = point
-    for pipeline in (pipeline_n5, pipeline_n6, pipeline_n7, pipeline_n8):
+    for n in PIPELINES:
         try:
-            system = pipeline(p1, p2)
+            system = pipeline(n, p1, p2)
         except DegenerateParameterError:
             continue
         assert validate_system(system).ok
 
 
-def _outcome(pipeline, a, b):
+def _outcome(n, a, b):
     """The system at (a, b), or the type of the DomainError it raises."""
     try:
-        return pipeline(a, b)
+        return pipeline(n, a, b)
     except DomainError as exc:
         return type(exc)
 
 
-@pytest.mark.parametrize("pipeline", [pipeline_n5, pipeline_n6, pipeline_n7,
-                                      pipeline_n8])
-def test_pipelines_are_symmetric_in_the_pair(pipeline):
+@pytest.mark.parametrize("n", list(PIPELINES),
+                         ids=[f"pipeline_n{n}" for n in PIPELINES])
+def test_pipelines_are_symmetric_in_the_pair(n):
     # the method-2 sweep prints the line of (p1, p2) again for (p2, p1),
     # and builds the mirror of a degenerate point itself to log it
     bound = range(-30, 31)
@@ -348,7 +375,7 @@ def test_pipelines_are_symmetric_in_the_pair(pipeline):
     for a in bound:
         for b in bound:
             if a <= b:
-                got = _outcome(pipeline, a, b)
-                assert _outcome(pipeline, b, a) == got, (a, b)
+                got = _outcome(n, a, b)
+                assert _outcome(n, b, a) == got, (a, b)
                 degenerate += isinstance(got, type)
     assert 0 < degenerate < len(bound) ** 2 // 4  # both outcomes seen

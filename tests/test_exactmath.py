@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from exsquares.exactmath import (DomainError, is_perfect_square, isqrt,
-                                 rational_sqrt, vec_gcd)
+from oracles import rational_sqrt  # the Fermat oracle's square root
+from exsquares.exactmath import DomainError, is_perfect_square, isqrt, vec_gcd
 
 BIG = 10 ** 90 + 12345  # ~600 bits once squared
 

@@ -145,3 +145,20 @@ def test_every_src_def_is_used_outside_the_tests():
         and not any(stmt.name in names
                     for _, other, names in statements if other is not stmt)]
     assert unused == []
+
+
+def test_no_src_module_imports_fractions():
+    """The package computes over the integers: Fermat matching scales
+    its quartic instead of dividing, so no module needs a Fraction."""
+    importers = []
+    for path in sorted((_REPO / "src" / "exsquares").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in modules:
+                importers.append(path.name)
+    assert importers == []

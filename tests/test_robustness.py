@@ -7,7 +7,7 @@ returned system the validator rejects, fails the test.
 
 import pytest
 
-from exsquares.derive import pipeline_n5, pipeline_n6, pipeline_n7, pipeline_n8
+from exsquares.derive import PIPELINES, pipeline
 from exsquares.evolve import generate_method1
 from exsquares.exactmath import DomainError
 from exsquares.verify import validate_system
@@ -23,10 +23,10 @@ def _valid_or_domain_error(build, *args):
     return True
 
 
-@pytest.mark.parametrize("pipeline", [pipeline_n5, pipeline_n6, pipeline_n7,
-                                      pipeline_n8])
-def test_pipeline_gives_a_valid_system_or_domain_error(pipeline):
-    valid = sum(_valid_or_domain_error(pipeline, a, b)
+@pytest.mark.parametrize("n", list(PIPELINES),
+                         ids=[f"pipeline_n{n}" for n in PIPELINES])
+def test_pipeline_gives_a_valid_system_or_domain_error(n):
+    valid = sum(_valid_or_domain_error(pipeline, n, a, b)
                 for a in range(-12, 13) for b in range(-12, 13))
     assert valid > 0
 
