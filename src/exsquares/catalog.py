@@ -24,6 +24,7 @@ sums); a block with 2n tuples stores roots then certificates.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .exactmath import DomainError, is_perfect_square, isqrt
 from .seeds import DegenerateParameterError, SquareSystem
@@ -125,17 +126,11 @@ def _parse_blocks(text):
     return records
 
 
-_records_cache = None
-
-
+@cache
 def _records():
-    global _records_cache
-    if _records_cache is None:
-        from importlib import resources
-        text = (resources.files(__package__) / "data" / "families.txt") \
-            .read_text(encoding="utf-8")
-        _records_cache = _parse_blocks(text)
-    return _records_cache
+    from importlib import resources
+    path = resources.files(__package__) / "data" / "families.txt"
+    return _parse_blocks(path.read_text(encoding="utf-8"))
 
 
 def list_families():
@@ -208,10 +203,8 @@ def eval_family(fid: str, params) -> SquareSystem:
 
 def _deg10_reference(q1, q2):
     """The n = 5 chain pairs before the pipeline's transform."""
-    from .derive import PIPELINES, assignment_pairs
-    n5 = PIPELINES[5]
-    pairs = assignment_pairs(n5.assignment, [b(q1, q2) for b in n5.builders])
-    return sorted(SquareSystem.from_pairs(pairs).roots)
+    from .derive import pipeline_pairs
+    return sorted(SquareSystem.from_pairs(pipeline_pairs(5, q1, q2)).roots)
 
 
 def _pipeline_roots(n, pq):

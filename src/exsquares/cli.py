@@ -73,29 +73,25 @@ def system_from_json(text: str) -> SquareSystem:
     return _system_from_obj(json.loads(text))
 
 
-def _parse_pair(text: str):
-    parts = text.split(",")
+def _int_pair(sep: str, text: str, shape: str, entries: str):
+    """Two integers written with sep between them; an argparse error
+    naming the expected shape or entries otherwise."""
+    parts = text.split(sep)
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected integers, got {text!r}") from None
+            f"expected {entries}, got {text!r}") from None
+
+
+def _parse_pair(text: str):
+    return _int_pair(",", text, "two comma-separated integers", "integers")
 
 
 def _parse_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected LO:HI, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected integers in range, got {text!r}") from None
-    return lo, hi
+    return _int_pair(":", text, "LO:HI", "integers in range")
 
 
 def _generate(n, method, t, params):

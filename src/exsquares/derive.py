@@ -41,8 +41,10 @@ not load it.
 PIPELINES is the one table of method-2 constructions: for each n, the
 chain assignment, one builder per chain parameter (each a function of
 the pair, generic over its scalars), whether the chain takes one
-transform, and the pair's name in messages.  pipeline(n, u, v) runs an
-entry; pipeline_n5..pipeline_n8 are its fixed-n wrappers.
+transform, and the pair's name in messages.  pipeline_pairs(n, u, v)
+is the one step from a pair to an entry's slot pairs; pipeline(n, u, v)
+runs a whole entry, and pipeline_n5..pipeline_n8 are its fixed-n
+wrappers.
 """
 
 from __future__ import annotations
@@ -134,26 +136,21 @@ ASSIGN_N8 = ChainAssignment(8, ((1, "+ab"), (1, "-ab"), (5, "+ab"),
                                 (6, "+ab"), (7, "+ba")))
 
 
-def _build_chain(assignment, params):
-    if len(params) != (3 if assignment.chain_size == 4 else 4):
-        raise DomainError("parameter count does not match chain size")
-    if assignment.chain_size == 4:
-        return chain4(*params)
-    return chain8(*params)
-
-
 def assignment_pairs(assignment: ChainAssignment, params):
-    """The (x_j, y_j) list the assignment selects from the chain."""
-    return assignment.apply(_build_chain(assignment, params))
+    """The (x_j, y_j) list the assignment selects from the chain that
+    the parameter pairs (three for chain4, four for chain8) build."""
+    chain, count = (chain4, 3) if assignment.chain_size == 4 else (chain8, 4)
+    if len(params) != count:
+        raise DomainError("parameter count does not match chain size")
+    return assignment.apply(chain(*params))
 
 
 def _residual_value(assignment, params):
-    pairs = assignment_pairs(assignment, params)
-    s = params[0][0] * 0 + 1  # one in the scalar ring of the parameters
+    s = 1
     for pr in params:
         s = s * pair_norm(pr)
-    acc = s * 0
-    for x, _ in pairs:
+    acc = 0
+    for x, _ in assignment_pairs(assignment, params):
         acc = acc + x * x
     return acc - s
 
@@ -253,7 +250,7 @@ def solve_quadratic(form: QuadraticForm):
                 raise DegenerateFormError("form is identically zero")
             return ((1, 0), (1, 0))
         return (normalize_projective(-form.C, form.B), (1, 0))
-    disc = form.B * form.B - 4 * form.A * form.C
+    disc = discriminant(form)
     if not isinstance(disc, int):
         raise DomainError(f"no square root defined for {type(disc).__name__}")
     if not is_perfect_square(disc):
@@ -335,39 +332,36 @@ def n6_s_values(p1, p2):
     return (2 * p1 * p2 * (p1 - p2) * (p1 + p2), (p1 ** 2 + p2 ** 2) ** 2)
 
 
-def _odd_even_pair(p1, p2, odd, even):
-    """p1*(odd coeffs on p1^24..p2^24) and p2*(even coeffs likewise)."""
+def _odd_even_pair(p1, p2, odd):
+    """p1*(odd coeffs on p1^24..p2^24) and p2*(the same coeffs read
+    backwards): each q table's even coefficients are its odd ones
+    reversed, so one literal holds both."""
     acc1 = 0
     acc2 = 0
-    for j, (co, ce) in enumerate(zip(odd, even)):
+    for j, (co, ce) in enumerate(zip(odd, reversed(odd))):
         mono = p1 ** (24 - 2 * j) * p2 ** (2 * j)
         acc1 = acc1 + co * mono
         acc2 = acc2 + ce * mono
     return p1 * acc1, p2 * acc2
 
 
-# Each q table is (odd, even), and the even coefficients are the odd
-# ones reversed: one literal per table, the pair built once here.
 _N6_ODD = (1, 26, 184, 126, 2105, -2972, 7288, -5284, 2435, -94, 272, 6, 3)
 _N7_ODD = (78125, 1399500, 8937610, 23564092, 78166867, 3600152, 182941900,
            -64814760, 51621283, 17916188, 14166858, 2174060, 248125)
 _N8_ODD = (729, 11916, 68162, 165308, 512615, 324248, 968668, 148568, 481719,
            168924, 114434, 18668, 2025)
-_N6_Q = (_N6_ODD, _N6_ODD[::-1])
-_N7_Q = (_N7_ODD, _N7_ODD[::-1])
-_N8_Q = (_N8_ODD, _N8_ODD[::-1])
 
 
 def n6_q_values(p1, p2):
-    return _odd_even_pair(p1, p2, *_N6_Q)
+    return _odd_even_pair(p1, p2, _N6_ODD)
 
 
 def n7_q_values(p1, p2):
-    return _odd_even_pair(p1, p2, *_N7_Q)
+    return _odd_even_pair(p1, p2, _N7_ODD)
 
 
 def n8_q_values(p1, p2):
-    return _odd_even_pair(p1, p2, *_N8_Q)
+    return _odd_even_pair(p1, p2, _N8_ODD)
 
 
 def n7_r_values(p1, p2):
@@ -504,20 +498,26 @@ def pipeline_entry(n) -> Pipeline:
                           f"{list(PIPELINES)}") from None
 
 
+def pipeline_pairs(n: int, u, v):
+    """The slot pairs of PIPELINES[n] at the pair (u, v), not reduced:
+    each builder gives one chain parameter and the assignment picks the
+    slots."""
+    assignment, builders, _, _ = pipeline_entry(n)
+    return assignment_pairs(assignment, [build(u, v) for build in builders])
+
+
 def pipeline(n: int, u: int, v: int) -> SquareSystem:
     """n squares from PIPELINES[n] at the pair (u, v), taken in lowest
-    terms: each builder gives one chain parameter, the assignment picks
-    the slots, and the chain takes one transform if the entry says so."""
-    assignment, builders, transform_once, name = pipeline_entry(n)
+    terms: the slot pairs, then one transform if the entry says so."""
+    _, _, transform_once, name = pipeline_entry(n)
     if (u, v) == (0, 0):
         raise DegenerateParameterError(f"{name} must not be (0, 0)")
     g = gcd(u, v)
     u, v = u // g, v // g
-    params = [build(u, v) for build in builders]
-    sol = ChainSolution.from_pairs(assignment_pairs(assignment, params))
+    sol = ChainSolution.from_pairs(pipeline_pairs(n, u, v))
     if transform_once:
         sol = transform(sol)
-    return finalize_system(sol.pairs, n, f"{name}=({u}, {v})")
+    return finalize_system(sol.pairs, f"{name}=({u}, {v})")
 
 
 def pipeline_n5(q1: int, q2: int) -> SquareSystem:

@@ -174,10 +174,10 @@ def method1_seed(n: int, t):
     return lemma3_general(n, t)
 
 
-def finalize_system(pairs, n: int, label: str) -> SquareSystem:
-    """The reduced system of integer pairs, gated on n distinct roots."""
+def finalize_system(pairs, label: str) -> SquareSystem:
+    """The reduced system of integer pairs, gated on distinct roots."""
     system = SquareSystem.from_pairs(pairs)
-    if system.n != n or not system.distinct:
+    if not system.distinct:
         raise DegenerateParameterError(
             f"{label} collapses the family to repeated or zero roots")
     return system
@@ -197,4 +197,4 @@ def generate_method1(n: int, t: int) -> SquareSystem:
         return distinctify(sol)
     for indices in _SCHEDULES[n]:
         sol = _round(sol, indices)
-    return finalize_system(sol.pairs, n, f"t={t}")
+    return finalize_system(sol.pairs, f"t={t}")

@@ -35,9 +35,7 @@ def is_perfect_square(v: int) -> bool:
 
 def vec_gcd(values) -> int:
     """Positive gcd of the absolute values; DomainError if all are zero."""
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
+    g = math.gcd(*values)
     if g == 0:
         raise DomainError("gcd of all-zero vector")
     return g

@@ -4,11 +4,11 @@ than its users need.
 ``Poly`` is Z[x]: a dense, low-degree-first tuple of int coefficients
 with ring operations, powers and evaluation.  A coefficient that is not
 an int raises DomainError, so nothing rational or inexact enters.  The
-method-2 derivations run the residual over ``Poly`` in one
-dehomogenized parameter (second variable set to 1) to get the
-discriminant quartic that Fermat matching works on; it reads the five
-coefficients and never evaluates a ``Poly`` at a ``Fraction``.  Seeds
-evaluated at ``X`` give the method-1 family as polynomials in t.  The
+package's one use: the method-2 derivations run the residual over
+``Poly`` in one dehomogenized parameter (second variable set to 1) to
+get the discriminant quartic, whose five coefficients Fermat matching
+reads.  Powers, evaluation and hashing serve the tests, which run the
+seeds at ``X`` to get the method-1 family as polynomials in t.  The
 catalog's coefficient tuples are plain ints, parsed and evaluated in
 :mod:`exsquares.catalog`.
 """
@@ -30,8 +30,7 @@ class Poly:
     """Univariate polynomial with int coefficients, low-degree-first.
 
     Only ints are coefficients: any other value raises DomainError,
-    a float as an inexact one.  Evaluation works at any scalar, so a
-    Fraction point gives a Fraction.  Canonical form: no trailing zero
+    a float as an inexact one.  Canonical form: no trailing zero
     coefficients; the zero polynomial has an empty coefficient tuple.
     Instances are immutable and hashable, so (x, y) polynomial pairs
     can key dicts.

@@ -1,9 +1,11 @@
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M2_N5_12, M2_N6_12
+from exsquares import catalog, cli
 from exsquares.exactmath import DomainError
 from exsquares.polyfield import Poly
 from exsquares.seeds import DegenerateParameterError
@@ -86,15 +88,60 @@ def test_cross_check_every_family():
         assert str(report) == f"OK ({len(report.points)} points)"
 
 
+def _bump_last(coeffs):
+    """The tuple with its last coefficient, that of v**degree, one
+    higher: the form's value at (u, 1) goes up by exactly one."""
+    return coeffs[:-1] + (coeffs[-1] + 1,)
+
+
+def _plant(monkeypatch, record):
+    """Let the catalog hold this record alone, as if parsed from disk."""
+    monkeypatch.setattr(catalog, "_records", lambda: {record.id: record})
+
+
+def test_eval_rejects_a_certificate_off_by_one(monkeypatch):
+    rec = get_family("n5-method2-deg10")
+    _plant(monkeypatch, rec._replace(certificates=(
+        _bump_last(rec.certificates[0]), *rec.certificates[1:])))
+    with pytest.raises(DomainError, match=r"^family n5-method2-deg10 table "
+                       r"corrupt: certificate mismatch$"):
+        eval_family(rec.id, (2, 1))
+
+
+def test_eval_rejects_roots_whose_exclusion_sums_are_not_squares(
+        monkeypatch):
+    rec = get_family("n5-method2-deg30")  # stores roots only
+    _plant(monkeypatch, rec._replace(
+        entries=(_bump_last(rec.entries[0]), *rec.entries[1:])))
+    with pytest.raises(DomainError, match=r"^family n5-method2-deg30 table "
+                       r"corrupt: exclusion sum \d+ is not a perfect square$"):
+        eval_family(rec.id, (2, 1))
+
+
+def test_cross_check_reports_a_table_that_disagrees(monkeypatch, capsys):
+    # the table read at (u, -v): a valid family, but not the pipeline's
+    rec = get_family("n5-method2-deg30")
+    _plant(monkeypatch, rec._replace(entries=tuple(
+        tuple(-c if j % 2 else c for j, c in enumerate(e))
+        for e in rec.entries)))
+    report = cross_check(rec.id)
+    assert not report.ok
+    assert str(report).startswith("MISMATCH at 10 of 10 points\n")
+    assert cli.main(["catalog", "cross-check", rec.id]) == 1
+    assert capsys.readouterr() == (f"{report}\n", "")
+
+
 def test_parser_rejects_malformed_tables():
-    with pytest.raises(DomainError):
-        _parse_blocks("badheader 5 10\n(1, 2)\n")
-    with pytest.raises(DomainError):
-        _parse_blocks("f 5 10 zz\n(1, 2)\n")
-    with pytest.raises(DomainError):
-        _parse_blocks("f five 10 pq\n(1, 2)\n")  # header counts not integers
-    with pytest.raises(DomainError):
-        _parse_blocks("f 5 10 pq\n(1, 2)\n(3, 4)\n")  # wrong tuple count
+    for text, message in [
+            ("badheader 5 10\n(1, 2)\n",
+             "bad catalog header: 'badheader 5 10'"),
+            ("f 5 10 zz\n(1, 2)\n", "bad catalog kind in 'f 5 10 zz'"),
+            # header counts not integers
+            ("f five 10 pq\n(1, 2)\n", "bad catalog header: 'f five 10 pq'"),
+            # degrees match the header, so the tuple count is what fails
+            ("f 5 1 pq\n(1, 2)\n(3, 4)\n", "family f: 2 tuples for n = 5")]:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _parse_blocks(text)
 
 
 def test_parser_rejects_degrees_that_disagree_with_the_header():

@@ -11,7 +11,7 @@ from oracles import chain4_norm, fermat_square_fraction
 from exsquares.exactmath import DomainError, is_perfect_square, vec_gcd
 from exsquares.identities import chain4
 from exsquares.polyfield import Poly, X
-from exsquares.seeds import DegenerateParameterError
+from exsquares.seeds import ChainSolution, DegenerateParameterError
 from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
                               PIPELINES, ChainAssignment, DegenerateFormError,
                               IdenticallySquareError, NoFermatRootError,
@@ -76,6 +76,37 @@ def test_assignment_rejects_bad_slots():
         ChainAssignment(4, ((1, "ab"), (2, "+ab")))
     with pytest.raises(DomainError):
         ChainAssignment(5, ((1, "+ab"),))  # only 4- and 8-chains exist
+
+
+# --- argument guards --------------------------------------------------------
+
+GUARDS = [
+    pytest.param(lambda: assignment_pairs(ASSIGN_N5, ((1, 2),) * 4),
+                 DomainError, "parameter count does not match chain size",
+                 id="assignment_pairs-chain4"),
+    pytest.param(lambda: assignment_pairs(ASSIGN_N6, ((1, 2),) * 3),
+                 DomainError, "parameter count does not match chain size",
+                 id="assignment_pairs-chain8"),
+    pytest.param(lambda: residual(ASSIGN_N5, ((1, 2),) * 3, unknown=5),
+                 DomainError, "unknown-pair index out of range",
+                 id="residual-unknown"),
+    pytest.param(lambda: normalize_projective(0, 0), DomainError,
+                 "projective pair cannot be (0, 0)", id="normalize_projective"),
+    pytest.param(lambda: solve_quadratic(QuadraticForm(0, 0, 0)),
+                 DegenerateFormError, "form is identically zero",
+                 id="solve_quadratic"),
+    pytest.param(lambda: fermat_square(Poly([1, 0, 0, 0, 0, 1])), DomainError,
+                 "fermat_square expects degree <= 4", id="fermat_square"),
+    pytest.param(lambda: ChainSolution.from_pairs(()), DomainError,
+                 "empty chain", id="ChainSolution.from_pairs"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS)
+def test_guard_raises_its_domain_error(call, error, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)
 
 
 # --- residual forms --------------------------------------------------------

@@ -217,7 +217,7 @@ def _family_at(n, family, t):
     try:
         method1_seed(n, t)
         pairs = [(int(x(t)), int(y(t))) for x, y in family.pairs]
-        return finalize_system(pairs, n, f"t={t}")
+        return finalize_system(pairs, f"t={t}")
     except DomainError as exc:
         return type(exc), str(exc)
 

@@ -72,6 +72,7 @@ def test_seed_n5_simple_structure():
 
 def test_seed_n6_structure():
     sol = seed_n6(2)
+    assert sol.n == len(sol.pairs) == 6
     assert sol.pairs[0] == (240, 500)
     assert sol.pairs[1] == (240, 500)
     assert sol.pairs[2] == (-240, 500)
