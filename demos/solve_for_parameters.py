@@ -10,19 +10,20 @@ parameter substitutions, and the closed forms fall out.
 
 from exsquares import (ASSIGN_N5, derive_n5, discriminant, fermat_square,
                        pipeline_n5, pipeline_n8, residual, validate_system)
-from exsquares.derive import n5_p_values, n5_r_values
-from exsquares.polyfield import Poly, X
+from exsquares.derive import Poly, n5_p_values, n5_r_values
 
 q = (1, 2)
 
-# residual in the pair p, with the r slot left open at (1, 0)
-form = residual(ASSIGN_N5, ((X, Poly([1])), q, (1, 0)), unknown=2)
+# residual in the pair p = (w : 1), w symbolic, with the r slot left open
+# at (1, 0); polynomials print as coefficient tuples, low degree first
+form = residual(ASSIGN_N5, ((Poly([0, 1]), Poly([1])), q, (1, 0)), unknown=2)
 print("square deficit as a form in r, with p symbolic:")
-print(f"  A = {form.A}")
-print(f"  B = {form.B}")
-print(f"  C = {form.C}")
-
+print(f"  A = {form.A.coeffs}")
+print(f"  B = {form.B.coeffs}")
+print(f"  C = {form.C.coeffs}")
 quartic = discriminant(form)
+print(f"  B^2 - 4AC = {quartic.coeffs}")
+
 print("its discriminant is a quartic in p1/p2; a point (p1 : p2) where")
 print("it turns square:", fermat_square(quartic))
 print()

@@ -143,7 +143,7 @@ def _json_values(fh):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             rest += line + fh.read()
             break
         chars += len(rest) + len(line)
@@ -164,6 +164,8 @@ def _json_values(fh):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{exc.msg}: line {exc.lineno + newlines} column "
                          f"{exc.colno} (char {exc.pos + chars})") from None
+    except RecursionError:  # a value nested past the decoder's limit
+        raise ValueError("JSON value nested too deeply to decode") from None
 
 
 def _verify_stream(fh, allow_repeats) -> int:

@@ -32,11 +32,9 @@ of the chain is the same.  The method-2 sweep builds each unordered
 pair once on that account; test_derive pins the symmetry.
 
 The derivations never leave the integers: every form they build has
-int (or, in a symbolic pair, Z[w] Poly) entries, the projective
-solvers take ints only, and fermat_square matches on scaled integers
-and returns an int pair.  Only derive_n5/derive_n6 use Poly, so they
-import it where they run and a process that only runs pipelines does
-not load it.
+int entries, or in derive_n5/derive_n6's symbolic pair (w : 1) entries
+in Poly, the ring Z[w]; the projective solvers take ints only, and
+fermat_square matches on scaled integers and returns an int pair.
 
 PIPELINES is the one table of method-2 constructions: for each n, the
 chain assignment, one builder per chain parameter (each a function of
@@ -397,11 +395,90 @@ def n8_s_values(p1, p2):
 _HOLE = (1, 0)  # placeholder for the unknown slot
 
 
+def _coerce(v):
+    if isinstance(v, Poly):
+        return v
+    if isinstance(v, int):
+        return Poly([v])
+    return NotImplemented
+
+
+class Poly:
+    """Z[w]: int coefficients, low-degree-first, no trailing zeros.
+
+    Only the ring operations the residual and its discriminant take,
+    with ints as constants; a coefficient that is not an int raises
+    DomainError, a float as an inexact one.  Results take the class of
+    self, and __init__ sets coeffs past __setattr__, so a subclass can
+    keep its type and forbid assignment."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                kind = "inexact" if isinstance(c, float) else "non-integer"
+                raise DomainError(f"{kind} polynomial coefficient {c!r}")
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @property
+    def degree(self):
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return type(self)()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+
 def _symbolic_pair():
     """The projective pair (w : 1) in the polynomial ring Z[w]: the
     residual's forms and their discriminant keep int coefficients."""
-    from .polyfield import Poly, X
-    return X, Poly([1])
+    return Poly([0, 1]), Poly([1])
 
 
 def derive_n5(q1: int, q2: int):

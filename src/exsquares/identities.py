@@ -10,7 +10,7 @@ product of the factor norms as its norm.  ``phi`` is f*conj(g)*h and
 product of the parameter-pair norms.
 
 All functions are generic in their scalar type: ints, Fractions, or the
-polynomial scalars from :mod:`exsquares.polyfield` work alike, since only
+polynomials of :class:`exsquares.derive.Poly` work alike, since only
 ring operations are used.
 """
 

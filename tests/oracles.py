@@ -6,7 +6,10 @@ paper's n = m^2 + 1 family, chain4_norm and chain8_norm give the common
 norm of identities.chain4 and chain8, validate_system_3n is the
 validator as it was before it squared each root once, and
 fermat_square_fraction is Fermat matching as it was before it ran on
-scaled integers: over Fraction, with rational_sqrt.
+scaled integers: over Fraction, with rational_sqrt.  Poly extends
+derive.Poly, the ring the derivations run on, with what the tests and
+the polynomial method-1 families need: powers, evaluation, hashing and
+immutability; X is its variable.
 
 tests/test_acceptance.py imports the first four from the package
 modules they used to live in; conftest.py binds them there.
@@ -15,6 +18,7 @@ modules they used to live in; conftest.py binds them there.
 import math
 from fractions import Fraction
 
+from exsquares import derive
 from exsquares.derive import (IdenticallySquareError, NoFermatRootError,
                               UnsupportedQuarticError)
 from exsquares.exactmath import DomainError, is_perfect_square
@@ -153,3 +157,51 @@ def fermat_square_fraction(quartic):
     if rational_sqrt(quartic(root)) is None:
         raise NoFermatRootError("matched value failed the square check")
     return root
+
+
+class Poly(derive.Poly):
+    """derive.Poly, immutable and hashable (so (x, y) polynomial pairs
+    can key dicts), with powers and evaluation."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    @property
+    def lead(self):
+        """Leading coefficient (0 for the zero polynomial)."""
+        return self.coeffs[-1] if self.coeffs else 0
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)!r})"
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, k):
+        if k < 0:
+            raise DomainError("negative polynomial power")
+        out = type(self)([1])
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+X = Poly([0, 1])

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M2_N5_12, M2_N6_12
+from oracles import Poly
 from exsquares import catalog, cli
 from exsquares.exactmath import DomainError
-from exsquares.polyfield import Poly
 from exsquares.seeds import DegenerateParameterError
 from exsquares.catalog import (UnknownFamilyError, _eval_form, _parse_blocks,
                                _parse_tuple, cross_check, eval_family,

@@ -186,8 +186,9 @@ def test_verify_reports_a_line_before_its_input_ends():
     (_M1_N5_T2_TEXT + "{oops", 3, "ok\n"),
     (json.dumps(json.loads(_M1_N5_T2_TEXT), indent=2), 0, "ok\n"),
     (_M1_N5_T2_TEXT + _M1_N5_T2_TEXT, 0, "ok\nok\n"),
+    (_M1_N5_T2_TEXT + "\n" + "[" * 100000 + "\n", 3, "ok\n"),
 ], ids=["empty", "blank", "then-not-a-system", "then-corrupt-json",
-        "one-pretty-printed", "two-on-one-line"])
+        "one-pretty-printed", "two-on-one-line", "then-deep-nesting"])
 def test_verify_stream_edges(text, code, stdout):
     proc = run("verify", stdin=text)
     assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
@@ -349,6 +350,8 @@ BAD_INPUTS = [
     pytest.param(["verify", "FILE"], _edited(roots="345"), 3,
                  id="verify-roots-not-an-array"),
     pytest.param(["verify", "FILE"], _edited(n=True), 3, id="verify-bool-n"),
+    pytest.param(["verify", "FILE"], "[" * 100000, 3,
+                 id="verify-deep-nesting"),
     pytest.param(["catalog", "eval", "no-such-id", "--t", "2"], None, 2,
                  id="catalog-unknown-id"),
     pytest.param(["catalog", "eval", "n5-method2-deg30", "--t", "2"], None, 2,
@@ -544,8 +547,8 @@ sys.exit(code)
 
 _UNUSED_BY_METHOD1 = {"dataclasses", "fractions", "decimal",
                       "importlib.resources", "exsquares.derive",
-                      "exsquares.catalog", "exsquares.polyfield"}
-# the pipelines need none of the derivations' rationals and polynomials
+                      "exsquares.catalog"}
+# the pipelines live in derive, and need none of the rest
 _UNUSED_BY_METHOD2 = _UNUSED_BY_METHOD1 - {"exsquares.derive"}
 
 

@@ -14,3 +14,5 @@ def test_every_demo_runs():
         proc = subprocess.run([sys.executable, str(demo)], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, f"{demo.name}: {proc.stderr}"
+        # a value printed without a repr of its own
+        assert " object at 0x" not in proc.stdout, demo.name

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M2_N5_12, M2_N6_12, M2_N7_21, M2_N8_21
-from oracles import chain4_norm, fermat_square_fraction
+from oracles import Poly, X, chain4_norm, fermat_square_fraction
 from exsquares.exactmath import DomainError, is_perfect_square, vec_gcd
 from exsquares.identities import chain4
-from exsquares.polyfield import Poly, X
 from exsquares.seeds import ChainSolution, DegenerateParameterError
 from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
                               PIPELINES, ChainAssignment, DegenerateFormError,

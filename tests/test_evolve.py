@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M1_N6_T2
-from oracles import NotAnImageError, inverse_transform, lemma3_special
+from oracles import (NotAnImageError, Poly, X, inverse_transform,
+                     lemma3_special)
 from exsquares import evolve
 from exsquares.exactmath import DomainError
-from exsquares.polyfield import Poly, X
 from exsquares.seeds import (ChainSolution, DegenerateParameterError,
                              SquareSystem, lemma3_general, seed_n5_simple,
                              seed_n6)

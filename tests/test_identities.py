@@ -2,10 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import chain4_norm, chain8_norm
+from oracles import Poly, X, chain4_norm, chain8_norm
 from exsquares.identities import (CHAIN4_FLIPS, CHAIN8_FLIPS, chain4,
                                   chain8, pair_norm, phi, psi)
-from exsquares.polyfield import Poly, X
 
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 pairs = st.tuples(ints, ints)

@@ -108,42 +108,71 @@ def test_chain_assignment_rejects_bad_slots(chain_size, slots):
 _REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _names_in(node) -> set:
+def _names_in(node, members=False) -> set:
     """Every identifier, attribute, imported name and string constant
-    under node: the ways code can name a top-level def."""
+    under node: the ways code can name a top-level def.  With members,
+    only the attributes and string constants: code names a method or a
+    property as obj.name or getattr(obj, "name"), and a bare name is
+    some other binding, a local of the same name say."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.name.rpartition(".")[2])
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names.add(sub.value)  # __all__ and the bench's name tables
+        elif members:
+            continue
+        elif isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
     return names
 
 
+def _src_defs():
+    """(label, def node, the statements outside it, whether it is a
+    member) for each top-level def and class of the package and each
+    method and property of its classes.  Outside a method are the other
+    top-level statements and the other statements of its class."""
+    modules = [(path.name, ast.parse(path.read_text()).body)
+               for path in sorted((_REPO / "src" / "exsquares").glob("*.py"))]
+    top = [stmt for _, body in modules for stmt in body]
+    defs = []
+    for home, body in modules:
+        for stmt in body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            others = [other for other in top if other is not stmt]
+            defs.append((f"{home}: {stmt.name}", stmt, others, False))
+            if isinstance(stmt, ast.ClassDef):
+                defs += [(f"{home}: {stmt.name}.{member.name}", member,
+                          others + [m for m in stmt.body if m is not member],
+                          True)
+                         for member in stmt.body
+                         if isinstance(member, ast.FunctionDef)]
+    return defs
+
+
 def test_every_src_def_is_used_outside_the_tests():
-    """Each top-level def and class of the package is named by code
-    outside its own definition: another statement of src, a demo or
-    bench/.  Code only the tests call belongs in tests/oracles.py.
-    Dunder functions (PEP 562 module hooks) are called by Python."""
-    outside = set()
-    for pattern in ("demos/*.py", "bench/*.py"):
-        for path in _REPO.glob(pattern):
-            outside |= _names_in(ast.parse(path.read_text()))
-    statements = [
-        (path.name, stmt, _names_in(stmt))
-        for path in sorted((_REPO / "src" / "exsquares").glob("*.py"))
-        for stmt in ast.parse(path.read_text()).body]
-    unused = [
-        f"{home}: {stmt.name}" for home, stmt, _ in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("__")
-        and stmt.name not in outside
-        and not any(stmt.name in names
-                    for _, other, names in statements if other is not stmt)]
+    """Each top-level def and class of the package, and each method and
+    property of its classes, is named by code outside its own
+    definition: another statement of src, a demo or bench/.  Code only
+    the tests call belongs in tests/oracles.py.  Dunder functions
+    (PEP 562 module hooks, operators) are called by Python."""
+    outside = [ast.parse(path.read_text())
+               for pattern in ("demos/*.py", "bench/*.py")
+               for path in _REPO.glob(pattern)]
+    names = {}  # (node, members) -> _names_in(node, members)
+
+    def named_in(name, node, members):
+        if (node, members) not in names:
+            names[node, members] = _names_in(node, members)
+        return name in names[node, members]
+
+    unused = [label for label, node, others, members in _src_defs()
+              if not node.name.startswith("__")
+              and not any(named_in(node.name, other, members)
+                          for other in outside + others)]
     assert unused == []
 
 

@@ -1,10 +1,13 @@
+"""Poly, the ring Z[x]: derive.Poly and its subclass in oracles."""
+
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exsquares import derive
 from exsquares.exactmath import DomainError
-from exsquares.polyfield import Poly, X
+from oracles import Poly, X
 
 coeff = st.integers(min_value=-50, max_value=50)
 polys = st.lists(coeff, min_size=1, max_size=6).map(Poly)
@@ -70,3 +73,12 @@ def test_float_coefficients_are_rejected():
         Poly([1, 0.5])
     with pytest.raises(DomainError):
         Poly([2.0])
+
+
+def test_results_keep_the_class_of_their_operands():
+    # derive builds in its own class, the tests in the oracle subclass
+    base = derive.Poly([0, 1])
+    for p in (base + 1, 1 + base, base - 1, -base, base * base, 2 * base):
+        assert type(p) is derive.Poly
+    for p in (X + 1, 1 + X, X - 1, 1 - X, -X, X * X, 2 * X, X ** 3):
+        assert type(p) is Poly

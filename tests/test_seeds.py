@@ -1,8 +1,7 @@
 import pytest
 
-from oracles import lemma3_special
+from oracles import Poly, X, lemma3_special
 from exsquares.exactmath import DomainError
-from exsquares.polyfield import Poly, X
 from exsquares.seeds import (ChainSolution, DegenerateParameterError,
                              lemma3_general, seed_n5_simple, seed_n6)
 from exsquares.verify import validate_chain
