@@ -32,17 +32,18 @@ from .verify import Report, Violation, validate_system
 GEN_NS = range(3, 9)
 
 
+def _json_strings(values) -> str:
+    # JSON of the decimal strings: digits and "-" need no escaping
+    return '["' + '", "'.join(map(str, values)) + '"]' if values else "[]"
+
+
 def system_to_json(system: SquareSystem) -> str:
     # s has the most digits of any value, so a system past the int->str
     # digit limit raises here, before any root is converted
     s = str(system.s)
-    return json.dumps({
-        "n": system.n,
-        "roots": [str(r) for r in system.roots],
-        "certificates": [str(c) for c in system.certificates],
-        "s": s,
-        "reduced": True,
-    })
+    return (f'{{"n": {system.n}, "roots": {_json_strings(system.roots)}, '
+            f'"certificates": {_json_strings(system.certificates)}, '
+            f'"s": "{s}", "reduced": true}}')
 
 
 def _json_int(value) -> int:
@@ -199,12 +200,12 @@ def cmd_catalog(args) -> int:
             print(f"{fid}  n={rec.n}  degree={rec.degree}  kind={rec.kind}")
         return 0
     if args.action == "eval":
-        if args.t is not None:
-            params = args.t
-        elif args.params is not None:
-            params = args.params
-        else:
-            raise DomainError("catalog eval needs --params P1,P2 or --t T")
+        # the record's kind picks the flag, as gen's --method does
+        pq = catalog.get_family(args.id).kind == "pq"
+        params = args.params if pq else args.t
+        if params is None:
+            raise DomainError(f"family {args.id} takes "
+                              + ("--params P1,P2" if pq else "--t T"))
         return _print_validated(
             catalog.eval_family(args.id, params), "catalog system",
             require_distinct=args.id not in catalog.REPEATS_BY_DESIGN)

@@ -333,13 +333,14 @@ def n6_s_values(p1, p2):
 def _odd_even_pair(p1, p2, odd):
     """p1*(odd coeffs on p1^24..p2^24) and p2*(the same coeffs read
     backwards): each q table's even coefficients are its odd ones
-    reversed, so one literal holds both."""
-    acc1 = 0
-    acc2 = 0
-    for j, (co, ce) in enumerate(zip(odd, reversed(odd))):
-        mono = p1 ** (24 - 2 * j) * p2 ** (2 * j)
-        acc1 = acc1 + co * mono
-        acc2 = acc2 + ce * mono
+    reversed, so one literal holds both.  Both sums are taken by one
+    Horner pass in (p1^2, p2^2), with a running power of p2^2."""
+    sq1, sq2 = p1 * p1, p2 * p2
+    acc1, acc2, power = odd[0], odd[-1], 1
+    for co, ce in zip(odd[1:], odd[-2::-1]):
+        power = power * sq2
+        acc1 = acc1 * sq1 + co * power
+        acc2 = acc2 * sq1 + ce * power
     return p1 * acc1, p2 * acc2
 
 

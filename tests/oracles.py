@@ -3,10 +3,12 @@
 None of these runs in a command.  They check the package from outside:
 inverse_transform undoes evolve.transform, lemma3_special is the
 paper's n = m^2 + 1 family, chain4_norm and chain8_norm give the common
-norm of identities.chain4 and chain8, validate_system_3n is the
-validator as it was before it squared each root once, and
-fermat_square_fraction is Fermat matching as it was before it ran on
-scaled integers: over Fraction, with rational_sqrt.  Poly extends
+norm of identities.chain4 and chain8, phi and psi build one member of
+each at a time, validate_system_3n is the validator as it was before it
+squared each root once, fermat_square_fraction is Fermat matching as it
+was before it ran on scaled integers: over Fraction, with
+rational_sqrt, and system_to_json_dumps is cli.system_to_json as it was
+before it wrote the JSON itself: through json.dumps.  Poly extends
 derive.Poly, the ring the derivations run on, with what the tests and
 the polynomial method-1 families need: powers, evaluation, hashing and
 immutability; X is its variable.
@@ -15,6 +17,7 @@ tests/test_acceptance.py imports the first four from the package
 modules they used to live in; conftest.py binds them there.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -64,6 +67,31 @@ def lemma3_special(m, t):
     pairs = (head,) * (n - 1) + (tail,)
     _require_nonzero(pairs, f"lemma3_special(m={m})")
     return ChainSolution.from_pairs(pairs)
+
+
+def phi(f1, f2, g1, g2, h1, h2):
+    """Three-factor generator pair (phi1, phi2) = f * conj(g) * h: the
+    chain4 member whose flipped factors are given as f, g and h.
+
+    phi1^2 + phi2^2 = (f1^2+f2^2)(g1^2+g2^2)(h1^2+h2^2).
+    """
+    a = f1 * g1 + f2 * g2  # f * conj(g)
+    b = f2 * g1 - f1 * g2
+    return (a * h1 - b * h2, b * h1 + a * h2)
+
+
+def psi(e1, e2, f1, f2, g1, g2, h1, h2):
+    """Four-factor generator pair (psi1, psi2) = i * e * conj(f) * g *
+    conj(h): the chain8 member whose flipped factors are given as e, f,
+    g and h.
+
+    psi1^2 + psi2^2 = (e1^2+e2^2)(f1^2+f2^2)(g1^2+g2^2)(h1^2+h2^2).
+    """
+    a = e1 * f1 + e2 * f2  # e * conj(f)
+    b = e2 * f1 - e1 * f2
+    c = a * g1 - b * g2  # ... * g
+    d = a * g2 + b * g1
+    return (c * h2 - d * h1, c * h1 + d * h2)  # i * ... * conj(h)
 
 
 def chain4_norm(p, q, r):
@@ -157,6 +185,17 @@ def fermat_square_fraction(quartic):
     if rational_sqrt(quartic(root)) is None:
         raise NoFermatRootError("matched value failed the square check")
     return root
+
+
+def system_to_json_dumps(system):
+    """cli.system_to_json through json.dumps."""
+    return json.dumps({
+        "n": system.n,
+        "roots": [str(r) for r in system.roots],
+        "certificates": [str(c) for c in system.certificates],
+        "s": str(system.s),
+        "reduced": True,
+    })
 
 
 class Poly(derive.Poly):

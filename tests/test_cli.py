@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,9 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldens import M1_N5_T2, M1_N6_T2, M2_N5_12, M2_N6_12
-from oracles import lemma3_special
+from oracles import lemma3_special, system_to_json_dumps
 from exsquares import catalog, cli
 from exsquares.cli import system_from_json, system_to_json
 from exsquares.exactmath import DomainError
@@ -215,6 +217,38 @@ def test_over_limit_encode_converts_no_root(digit_limit):
     assert _StrSpy.converted == []
 
 
+json_ints = st.one_of(st.integers(min_value=-10, max_value=10),
+                      st.integers(min_value=-2 ** 300, max_value=2 ** 300))
+
+
+@given(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+       st.lists(json_ints, max_size=9), st.lists(json_ints, max_size=9),
+       json_ints)
+@settings(max_examples=300)
+def test_system_to_json_equals_the_json_dumps_oracle(n, roots, certs, s):
+    # n need not match the lengths, and either list may be empty
+    system = SquareSystem(n, tuple(roots), tuple(certs), s)
+    assert system_to_json(system) == system_to_json_dumps(system)
+
+
+# sha256 of the stdout of one sweep at each n = 5..8, concatenated.  They
+# were taken when system_to_json went through json.dumps, so they pin the
+# bytes of its own writer, which the tests that build their expected
+# lines with system_to_json cannot.
+@pytest.mark.parametrize("flags, digest", [
+    (["--method", "2", "--max-sum", "30"],
+     "c4d211bf5091902b730032158d519693f4f590c37838a49daa3aa15b440710f2"),
+    (["--method", "1", "--t-range", "2:20"],
+     "aedc8df73eb654928f64516c89d26d5054f8e92f9e459d60bee8e4550cb84ff7"),
+], ids=["method2", "method1"])
+def test_sweep_stdout_is_pinned(flags, digest, capsys):
+    out = []
+    for n in (5, 6, 7, 8):
+        assert cli.main(["sweep", "--n", str(n), *flags]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
 def test_json_helpers_round_trip():
     system = SquareSystem.from_pairs(lemma3_special(3, 2).pairs)
     again = system_from_json(system_to_json(system))
@@ -314,8 +348,21 @@ def test_catalog_bad_requests_exit_2():
     no_params = run("catalog", "eval", "n5-method2-deg30")
     assert no_params.returncode == 2
     assert no_params.stderr == \
-        "error: catalog eval needs --params P1,P2 or --t T\n"
+        "error: family n5-method2-deg30 takes --params P1,P2\n"
     assert run("catalog", "eval").returncode == 2
+
+
+@pytest.mark.parametrize("fid, flags, point", [
+    ("n6-method2-deg38", ["--t", "3", "--params", "1,2"], (1, 2)),
+    ("n5-method1-deg17", ["--params", "1,2", "--t", "2"], 2),
+])
+def test_catalog_eval_reads_the_flag_of_the_family_kind(fid, flags, point,
+                                                        capsys):
+    # a pq family ignores --t and a t family ignores --params, as gen
+    # ignores the flag of the other method
+    assert cli.main(["catalog", "eval", fid, *flags]) == 0
+    assert capsys.readouterr() == (
+        system_to_json(catalog.eval_family(fid, point)) + "\n", "")
 
 
 def test_catalog_eval_past_the_digit_limit_exits_3():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldens import M2_N5_12, M2_N6_12, M2_N7_21, M2_N8_21
 from oracles import Poly, X, chain4_norm, fermat_square_fraction
+from exsquares import derive
 from exsquares.exactmath import DomainError, is_perfect_square, vec_gcd
 from exsquares.identities import chain4
 from exsquares.seeds import ChainSolution, DegenerateParameterError
@@ -328,6 +329,24 @@ def test_rederive_n8_substitutions_on_grid():
         assert proportional(got["r"], n8_r_values(p1, p2))
         assert proportional(got["s"], n8_s_values(p1, p2))
         assert proportional(got["q"], n8_q_values(p1, p2))
+
+
+@pytest.mark.parametrize("q_values, odd", [
+    (n6_q_values, derive._N6_ODD), (n7_q_values, derive._N7_ODD),
+    (n8_q_values, derive._N8_ODD)])
+def test_q_tables_equal_their_term_by_term_sums_as_polynomials(q_values,
+                                                                odd):
+    # the Horner pass against the sum of the 13 monomials, at (X, 1) and
+    # (1, X): each pins the degree-25 binary form, so the two agree at
+    # every pair
+    def term_sum(p1, p2):
+        return (p1 * sum(c * p1 ** (24 - 2 * j) * p2 ** (2 * j)
+                         for j, c in enumerate(odd)),
+                p2 * sum(c * p1 ** (24 - 2 * j) * p2 ** (2 * j)
+                         for j, c in enumerate(reversed(odd))))
+
+    for point in ((X, 1), (1, X)):
+        assert q_values(*point) == term_sum(*point)
 
 
 # --- full pipelines ---------------------------------------------------------
