@@ -9,16 +9,17 @@ File format: blocks separated by blank lines.  Each block is a header
 line ``id n degree kind`` followed by one parenthesized integer
 coefficient tuple (c_0, ..., c_n) per line, read as the homogeneous
 form sum(c_j * u**(n-j) * v**j): c_0 multiplies the highest power of
-the first variable.  This module alone parses and evaluates the
-tuples; a record keeps them as plain int tuples.  kind is "t" (one
-integer parameter, entries evaluated at (t, 1)) or "pq" (a projective
-integer pair).  A "pq" tuple is a homogeneous form of exactly the
-header degree.  A "t" tuple is an inhomogeneous polynomial in t, read
-at (t, 1), so tuples may differ in length; the header gives the
-largest degree among them.  The parser rejects a block whose degrees
-disagree with its header.  A block with n tuples stores roots only
-(certificates are recovered at evaluation time from the exclusion
-sums); a block with 2n tuples stores roots then certificates.
+the first variable.  This module alone parses the tuples, and
+evaluates them with exactmath.eval_form; a record keeps them as plain
+int tuples.  kind is "t" (one int parameter, entries evaluated at
+(t, 1)) or "pq" (a projective pair of ints).  A "pq" tuple is a
+homogeneous form of exactly the header degree.  A "t" tuple is an
+inhomogeneous polynomial in t, read at (t, 1), so tuples may differ in
+length; the header gives the largest degree among them.  The parser
+rejects a block whose degrees disagree with its header.  A block with
+n tuples stores roots only (certificates are recovered at evaluation
+time from the exclusion sums); a block with 2n tuples stores roots
+then certificates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .exactmath import DomainError, is_perfect_square, isqrt
+from .exactmath import DomainError, eval_form, is_perfect_square, isqrt
 from .seeds import DegenerateParameterError, SquareSystem
 from .evolve import generate_method1
 
@@ -73,16 +74,6 @@ def _parse_tuple(text):
         return tuple(int(p) for p in body[1:-1].split(","))
     except ValueError as exc:
         raise DomainError(f"bad tuple entry in {text!r}") from exc
-
-
-def _eval_form(coeffs, u, v):
-    """sum(c_j * u**(n-j) * v**j), Horner in u with running powers of v."""
-    acc = coeffs[0]
-    vp = 1
-    for c in coeffs[1:]:
-        vp = vp * v
-        acc = acc * u + c * vp
-    return acc
 
 
 def _parse_blocks(text):
@@ -147,25 +138,21 @@ def get_family(fid: str) -> FamilyRecord:
 
 def _point(record, params):
     if record.kind == "t":
-        if isinstance(params, (tuple, list)):
-            if len(params) != 1:
-                raise DomainError(
-                    f"family {record.id} takes a single parameter t")
-            params = params[0]
-        return int(params), 1
-    try:
-        u, v = params
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"family {record.id} takes a parameter pair") from None
-    return int(u), int(v)
+        if type(params) is not int:
+            raise DomainError(f"family {record.id} takes a single parameter t")
+        return params, 1
+    if not (isinstance(params, (tuple, list)) and len(params) == 2
+            and all(type(p) is int for p in params)):
+        raise DomainError(f"family {record.id} takes a parameter pair")
+    return tuple(params)
 
 
 def eval_family(fid: str, params) -> SquareSystem:
     """Evaluate a family at a parameter point and return
     SquareSystem.from_pairs of its roots and certificates.
 
-    params is an integer t for kind "t" records, a pair for kind "pq".
+    params is an int t for kind "t" records, a tuple or list of two
+    ints for kind "pq"; anything else raises DomainError.
     Certificates not in the table are recovered from the exclusion
     sums, which must be perfect squares (they are, at every parameter
     point, or the table is corrupt).  Repeated roots are returned as
@@ -174,13 +161,13 @@ def eval_family(fid: str, params) -> SquareSystem:
     """
     record = get_family(fid)
     u, v = _point(record, params)
-    xs = [_eval_form(e, u, v) for e in record.entries]
+    xs = [eval_form(e, u, v) for e in record.entries]
     if any(x == 0 for x in xs):
         raise DegenerateParameterError(
             f"family {fid} has a zero root at {params}")
     s = sum(x * x for x in xs)
     if record.certificates is not None:
-        ys = [_eval_form(e, u, v) for e in record.certificates]
+        ys = [eval_form(e, u, v) for e in record.certificates]
         for x, y in zip(xs, ys):
             if x * x + y * y != s:
                 raise DomainError(

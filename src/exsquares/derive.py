@@ -21,7 +21,9 @@ pipeline was found:
 
 The closed-form substitutions the pipelines use (*_values functions)
 are fixed data; the derive_n* functions re-derive them from the solver
-machinery so tests can confirm the tables against the engine.
+machinery so tests can confirm the tables against the engine.  No
+re-derivation reads the table it confirms: of the two roots of its
+s-quadratic, derive_n6 takes the one of smaller height.
 
 Every pipeline is symmetric, pipeline(n, p1, p2) == pipeline(n, p2, p1):
 the swap reverses or conjugates each parameter pair the pipeline
@@ -50,7 +52,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .exactmath import DomainError, is_perfect_square, isqrt
+from .exactmath import DomainError, eval_form, is_perfect_square, isqrt
 from .identities import chain4, chain8, pair_norm
 from .seeds import ChainSolution, DegenerateParameterError, SquareSystem
 from .evolve import finalize_system, transform
@@ -102,10 +104,6 @@ class ChainAssignment(namedtuple("ChainAssignment", "chain_size slots")):
             if orient not in ORIENTATIONS:
                 raise DomainError(f"unknown orientation {orient!r}")
         return super().__new__(cls, chain_size, slots)
-
-    @property
-    def n(self):
-        return len(self.slots)
 
     def apply(self, chain):
         out = []
@@ -226,10 +224,6 @@ def normalize_projective(u, v):
     return u // g, v // g
 
 
-def _proportional(pair1, pair2):
-    return pair1[0] * pair2[1] == pair1[1] * pair2[0]
-
-
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
@@ -333,15 +327,9 @@ def n6_s_values(p1, p2):
 def _odd_even_pair(p1, p2, odd):
     """p1*(odd coeffs on p1^24..p2^24) and p2*(the same coeffs read
     backwards): each q table's even coefficients are its odd ones
-    reversed, so one literal holds both.  Both sums are taken by one
-    Horner pass in (p1^2, p2^2), with a running power of p2^2."""
+    reversed, so one literal holds both, each a form in (p1^2, p2^2)."""
     sq1, sq2 = p1 * p1, p2 * p2
-    acc1, acc2, power = odd[0], odd[-1], 1
-    for co, ce in zip(odd[1:], odd[-2::-1]):
-        power = power * sq2
-        acc1 = acc1 * sq1 + co * power
-        acc2 = acc2 * sq1 + ce * power
-    return p1 * acc1, p2 * acc2
+    return p1 * eval_form(odd, sq1, sq2), p2 * eval_form(odd[::-1], sq1, sq2)
 
 
 _N6_ODD = (1, 26, 184, 126, 2105, -2972, 7288, -5284, 2435, -94, 272, 6, 3)
@@ -499,8 +487,8 @@ def derive_n5(q1: int, q2: int):
 def derive_n6(p1: int, p2: int):
     """Re-derive the n=6 substitutions at a fixed (p1, p2).
 
-    r from Fermat matching, s from the quadratic roots, q as the Vieta
-    second root off the known root (q1, q2) = (p1, p2).
+    r from Fermat matching, s as the quadratic's root of smaller height
+    (largest |entry|), q as the Vieta second root off (q1, q2) = (p1, p2).
     """
     p = (p1, p2)
     form_r = residual(ASSIGN_N6, (p, p, _symbolic_pair(), _HOLE), unknown=3)
@@ -508,8 +496,7 @@ def derive_n6(p1: int, p2: int):
     r = fermat_square(quartic)
     form_s = residual(ASSIGN_N6, (p, p, r, _HOLE), unknown=3)
     s_roots = solve_quadratic(form_s)
-    s = s_roots[0] if _proportional(s_roots[0], n6_s_values(p1, p2)) \
-        else s_roots[1]
+    s = min(s_roots, key=lambda root: max(map(abs, root)))
     form_q = residual(ASSIGN_N6, (p, _HOLE, r, s), unknown=1)
     q = vieta_second_root(form_q, p)
     return {"r": r, "s_roots": s_roots, "s": s, "q": q}
@@ -587,6 +574,8 @@ def pipeline_pairs(n: int, u, v):
 def pipeline(n: int, u: int, v: int) -> SquareSystem:
     """n squares from PIPELINES[n] at the pair (u, v), taken in lowest
     terms: the slot pairs, then one transform if the entry says so."""
+    if not (type(n) is type(u) is type(v) is int):
+        raise DomainError("method 2 takes an int n and a pair of ints")
     _, _, transform_once, name = pipeline_entry(n)
     if (u, v) == (0, 0):
         raise DegenerateParameterError(f"{name} must not be (0, 0)")

@@ -192,6 +192,8 @@ def generate_method1(n: int, t: int) -> SquareSystem:
     at which two roots coincide.  Other n return distinctify at t.  A t
     at which the seed vanishes raises DegenerateParameterError.
     """
+    if not (type(n) is type(t) is int):
+        raise DomainError("method 1 takes an int n and an int t")
     sol = method1_seed(n, t)
     if n not in _SCHEDULES:
         return distinctify(sol)

@@ -39,3 +39,14 @@ def vec_gcd(values) -> int:
     if g == 0:
         raise DomainError("gcd of all-zero vector")
     return g
+
+
+def eval_form(coeffs, u, v):
+    """sum(c_j * u**(n-j) * v**j), Horner in u with running powers of v;
+    generic over the scalars."""
+    acc = coeffs[0]
+    vp = 1
+    for c in coeffs[1:]:
+        vp = vp * v
+        acc = acc * u + c * vp
+    return acc

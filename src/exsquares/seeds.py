@@ -118,15 +118,10 @@ def seed_n5_simple(t) -> ChainSolution:
 
 
 def seed_n6(t) -> ChainSolution:
-    """Six-entry seed with a block of four equal |x| values.
+    """Six-entry seed: lemma3_general(6, t) with x_3, x_4 negated.
 
     Printed sign convention: x_2 = x_1, x_3 = x_4 = -x_1.
     """
-    t2 = t * t
-    x1 = 8 * t * (t2 * t2 - 1)
-    y1 = 4 * (t2 + 1) ** 3
-    pairs = ((x1, y1), (x1, y1), (-x1, y1), (-x1, y1),
-             (4 * (t2 - 1) ** 3, 16 * t * (t2 * t2 + 1)),
-             (32 * t ** 3, 4 * (t2 - 1) * (t2 * t2 + 6 * t2 + 1)))
-    _require_nonzero(pairs, "seed_n6")
-    return ChainSolution.from_pairs(pairs)
+    sol = lemma3_general(6, t)
+    x, y = sol.pairs[0]
+    return sol._replace(pairs=((x, y),) * 2 + ((-x, y),) * 2 + sol.pairs[4:])

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from goldens import M1_N5_T2, M2_N5_12, M2_N6_12
 from oracles import Poly
 from exsquares import catalog, cli
-from exsquares.exactmath import DomainError
+from exsquares.exactmath import DomainError, eval_form
 from exsquares.seeds import DegenerateParameterError
-from exsquares.catalog import (UnknownFamilyError, _eval_form, _parse_blocks,
+from exsquares.catalog import (UnknownFamilyError, _parse_blocks,
                                _parse_tuple, cross_check, eval_family,
                                get_family, list_families)
 from exsquares.verify import validate_system
@@ -180,7 +180,7 @@ def test_tuple_text_parse_round_trip():
 @settings(max_examples=150)
 def test_eval_form_is_homogeneous(cs, lam, u, v):
     d = len(cs) - 1
-    assert _eval_form(cs, lam * u, lam * v) == lam ** d * _eval_form(cs, u, v)
+    assert eval_form(cs, lam * u, lam * v) == lam ** d * eval_form(cs, u, v)
 
 
 def test_eval_form_agrees_with_poly():
@@ -190,4 +190,4 @@ def test_eval_form_agrees_with_poly():
     assert p == Poly([5, -3, 0, 2])
     assert tuple(reversed(p.coeffs)) == cs
     for t in range(-4, 5):
-        assert _eval_form(cs, t, 1) == p(t)
+        assert eval_form(cs, t, 1) == p(t)

@@ -24,10 +24,12 @@ from exsquares.derive import (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7, ASSIGN_N8,
                               n7_r_values, n7_s_values, n8_q_values,
                               n8_r_values, n8_s_values,
                               normalize_projective, pipeline, pipeline_n5,
-                              pipeline_n6, pipeline_n7, pipeline_n8, residual,
+                              pipeline_n6, pipeline_n7, pipeline_n8,
+                              pipeline_pairs, residual,
                               solve_quadratic, vieta_second_root,
                               _HOLE, _symbolic_pair)
-from exsquares.verify import validate_system
+from exsquares.evolve import transform
+from exsquares.verify import validate_chain, validate_system
 
 # coprime, distinct, both coordinates 1..8: 42 evaluation points
 GRID = [(a, b) for a in range(1, 9) for b in range(1, 9)
@@ -51,8 +53,8 @@ def test_assignment_tables_are_fixed():
     assert ASSIGN_N8.slots == ((1, "+ab"), (1, "-ab"), (5, "+ab"),
                                (5, "-ab"), (2, "+ab"), (4, "+ab"),
                                (6, "+ab"), (7, "+ba"))
-    assert (ASSIGN_N5.n, ASSIGN_N6.n, ASSIGN_N7.n, ASSIGN_N8.n) == \
-        (5, 6, 7, 8)
+    assert tuple(len(a.slots) for a in (ASSIGN_N5, ASSIGN_N6, ASSIGN_N7,
+                                        ASSIGN_N8)) == (5, 6, 7, 8)
 
 
 def test_assignment_slot_orientations():
@@ -315,6 +317,17 @@ def test_rederive_n6_substitutions_on_grid():
         assert got["s"] in got["s_roots"]
 
 
+def test_rederive_n6_does_not_read_the_s_table_it_confirms(monkeypatch):
+    want = {point: derive_n6(*point) for point in GRID}
+
+    def unreadable(p1, p2):
+        raise AssertionError("derive_n6 read n6_s_values")
+
+    monkeypatch.setattr(derive, "n6_s_values", unreadable)
+    for point in GRID:
+        assert derive_n6(*point) == want[point]
+
+
 def test_rederive_n7_substitutions_on_grid():
     for p1, p2 in GRID:
         got = derive_n7(p1, p2)
@@ -381,10 +394,21 @@ def test_pipeline_table_and_wrappers_agree():
     wrappers = {5: pipeline_n5, 6: pipeline_n6, 7: pipeline_n7, 8: pipeline_n8}
     assert list(PIPELINES) == list(wrappers)
     for n, entry in PIPELINES.items():
-        assert entry.assignment.n == n
+        assert len(entry.assignment.slots) == n
         assert len(entry.builders) == (3 if entry.assignment.chain_size == 4
                                        else 4)
         assert wrappers[n](3, 5) == pipeline(n, 3, 5)
+
+
+@pytest.mark.parametrize("n, degree", [(5, 30), (6, 38), (7, 114), (8, 114)])
+def test_pipeline_families_hold_over_z_t(n, degree):
+    # the whole family at once: the pipeline at the pair (t : 1) over
+    # Z[t], its chain conditions as polynomial identities
+    sol = ChainSolution.from_pairs(pipeline_pairs(n, X, 1))
+    if PIPELINES[n].transform_once:
+        sol = transform(sol)
+    assert validate_chain(sol).ok
+    assert max(x.degree for x in sol.xs) == degree
 
 
 def test_pipeline_outside_the_table():

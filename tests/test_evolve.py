@@ -134,12 +134,13 @@ def _method1_line(n, t):
 def test_generate_method1_panel_is_pinned():
     """Every output and error text at n = 3..32, t = -8..8, and at
     n = 40, 64, 72, t = 2, as computed when each round still ended in a
-    gcd reduction."""
+    gcd reduction; the n = 6 seed's errors at t = -1, 0, 1 name
+    lemma3_general, which builds it."""
     points = [(n, t) for n in range(3, 33) for t in range(-8, 9)]
     points += [(40, 2), (64, 2), (72, 2)]
     text = "".join(_method1_line(n, t) for n, t in points)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "156ce7f7b224d5ccbfa0e8c0a0cd578a9f65e00b1d66bece34c1710e277f767a"
+        "c46ae36c3c9c2564791d2bd2cdf565f2768b281e450240b742c043db3366a542"
 
 
 def test_coefficients_are_the_two_weighted_sums():

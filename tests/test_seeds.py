@@ -79,6 +79,13 @@ def test_seed_n6_structure():
     assert sol.pairs[4] == (108, 544)
     assert sol.pairs[5] == (256, 492)
     assert validate_chain(sol).ok
+    # the printed closed form over Z[t]
+    t = X
+    x1, y1 = 8 * t * (t ** 4 - 1), 4 * (t * t + 1) ** 3
+    assert seed_n6(t).pairs == (
+        (x1, y1), (x1, y1), (-x1, y1), (-x1, y1),
+        (4 * (t * t - 1) ** 3, 16 * t * (t ** 4 + 1)),
+        (32 * t ** 3, 4 * (t * t - 1) * (t ** 4 + 6 * t * t + 1)))
 
 
 def test_seeds_accept_polynomial_parameters():
